@@ -1,7 +1,6 @@
 #include "corun/core/fleet/power_strategy.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "corun/common/check.hpp"
 #include "corun/sim/power_model.hpp"
@@ -181,25 +180,39 @@ std::vector<Watts> MarginalUtilityStrategy::divide(
   // Each quantum goes to the current bottleneck: the machine whose
   // estimated completion time demand / speed(cap) is longest and whose cap
   // can still grow. That is exactly where a watt buys the most reduction in
-  // the fleet makespan estimate the benches measure.
-  auto est_time = [&](std::size_t m) {
-    return demands[m].demand_seconds / curve.speed_at(caps[m]);
+  // the fleet makespan estimate the benches measure. A grant changes only
+  // the winner's estimate, so a max-heap keyed on (estimate, lower index
+  // first) makes the same picks in the same order as a full scan per
+  // quantum, in O(quanta * log machines) instead of O(quanta * machines).
+  struct Candidate {
+    double time;
+    std::size_t machine;
   };
-  while (budget >= limits.quantum) {
-    std::size_t bottleneck = demands.size();
-    double worst = -std::numeric_limits<double>::infinity();
-    for (std::size_t m = 0; m < demands.size(); ++m) {
-      if (!demands[m].alive || demands[m].demand_seconds <= 0.0) continue;
-      if (caps[m] + limits.quantum > limits.ceiling) continue;
-      const double t = est_time(m);
-      if (t > worst) {
-        worst = t;
-        bottleneck = m;
-      }
-    }
-    if (bottleneck == demands.size()) break;  // everyone capped out or idle
+  const auto lower_priority = [](const Candidate& a, const Candidate& b) {
+    return a.time != b.time ? a.time < b.time : a.machine > b.machine;
+  };
+  auto candidate = [&](std::size_t m) {
+    return Candidate{demands[m].demand_seconds / curve.speed_at(caps[m]), m};
+  };
+  std::vector<Candidate> heap;
+  for (std::size_t m = 0; m < demands.size(); ++m) {
+    // `!(d > 0)` also drops a NaN demand, whose estimate is never a strict
+    // maximum.
+    if (!demands[m].alive || !(demands[m].demand_seconds > 0.0)) continue;
+    if (caps[m] + limits.quantum > limits.ceiling) continue;
+    heap.push_back(candidate(m));
+  }
+  std::make_heap(heap.begin(), heap.end(), lower_priority);
+  while (budget >= limits.quantum && !heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), lower_priority);
+    const std::size_t bottleneck = heap.back().machine;
+    heap.pop_back();
     caps[bottleneck] += limits.quantum;
     budget -= limits.quantum;
+    if (caps[bottleneck] + limits.quantum <= limits.ceiling) {
+      heap.push_back(candidate(bottleneck));
+      std::push_heap(heap.begin(), heap.end(), lower_priority);
+    }
   }
   enforce_conservation(caps, global_cap, limits);
   return caps;

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "corun/common/check.hpp"
@@ -23,11 +27,165 @@ bool default_analytic_tables() {
   return value;
 }
 
-/// The dense analytic tables. Rows exist only for (job, device) pairs the
-/// DB has profiles for; everything else falls back to the legacy on-demand
-/// path. Cells are computed with the exact legacy arithmetic (entry_at +
-/// staged interpolation), so a table answer and a fallback answer are the
-/// same bits.
+namespace {
+
+/// Both sides' interpolated degradation for one (cpu bw, gpu bw) point.
+struct DegradationCell {
+  double cpu = 0.0;
+  double gpu = 0.0;
+};
+
+/// Degradation cells over [cpu class][cl][gpu class][gl]. A class is one
+/// distinct per-level standalone-bandwidth vector; the cells depend on
+/// nothing else, so every predictor whose grid and class vectors match
+/// shares one immutable table.
+struct DegradationTable {
+  std::size_t cpu_levels = 0;
+  std::size_t gpu_levels = 0;
+  std::size_t gpu_classes = 0;
+  std::vector<DegradationCell> cells;
+
+  [[nodiscard]] const DegradationCell& at(std::size_t cpu_class,
+                                          std::size_t cl,
+                                          std::size_t gpu_class,
+                                          std::size_t gl) const {
+    return cells[((cpu_class * cpu_levels + cl) * gpu_classes + gpu_class) *
+                     gpu_levels +
+                 gl];
+  }
+};
+
+template <typename T>
+void append_bytes(std::string& key, const std::vector<T>& values) {
+  const std::size_t n = values.size();
+  key.append(reinterpret_cast<const char*>(&n), sizeof(n));
+  key.append(reinterpret_cast<const char*>(values.data()), n * sizeof(T));
+}
+
+/// Exact bytes of everything a degradation table is a function of: the
+/// grid's axes and surfaces plus every class bandwidth vector, each with
+/// its length. No rounding and no hash stands in for the content, so two
+/// keys are equal exactly when the tables would be bit-identical.
+std::string table_key(const DegradationGrid& grid,
+                      const std::vector<std::vector<GBps>>& cpu_classes,
+                      const std::vector<std::vector<GBps>>& gpu_classes) {
+  std::string key;
+  append_bytes(key, grid.cpu_axis);
+  append_bytes(key, grid.gpu_axis);
+  for (const auto* surface : {&grid.cpu_deg, &grid.gpu_deg}) {
+    const std::size_t rows = surface->size();
+    key.append(reinterpret_cast<const char*>(&rows), sizeof(rows));
+    for (const auto& row : *surface) append_bytes(key, row);
+  }
+  for (const auto* classes : {&cpu_classes, &gpu_classes}) {
+    const std::size_t n = classes->size();
+    key.append(reinterpret_cast<const char*>(&n), sizeof(n));
+    for (const auto& bw : *classes) append_bytes(key, bw);
+  }
+  return key;
+}
+
+/// Process-wide store of degradation tables, content-addressed by
+/// table_key. Entries are immutable and handed out as shared_ptr<const>, so
+/// an evicted table lives on in the predictors that hold it. The bound
+/// keeps a process that sees an unbounded stream of distinct profiles
+/// (online sampling in a long-lived daemon) from growing without limit;
+/// the least recently used entry goes first.
+class DegradationRegistry {
+ public:
+  static DegradationRegistry& instance() {
+    static DegradationRegistry registry;
+    return registry;
+  }
+
+  std::shared_ptr<const DegradationTable> get(
+      const StagedInterpolator& interp,
+      const std::vector<std::vector<GBps>>& cpu_classes,
+      const std::vector<std::vector<GBps>>& gpu_classes) {
+    std::string key = table_key(interp.grid(), cpu_classes, gpu_classes);
+    // Built under the lock: concurrent first users of one table wait for a
+    // single build instead of each interpolating the same cells.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++tick_;
+    if (const auto it = entries_.find(key); it != entries_.end()) {
+      it->second.last_use = tick_;
+      return it->second.table;
+    }
+    auto table = std::make_shared<DegradationTable>();
+    table->cpu_levels = cpu_classes.empty() ? 0 : cpu_classes.front().size();
+    table->gpu_levels = gpu_classes.empty() ? 0 : gpu_classes.front().size();
+    table->gpu_classes = gpu_classes.size();
+    table->cells.reserve(cpu_classes.size() * table->cpu_levels *
+                         gpu_classes.size() * table->gpu_levels);
+    for (const auto& cpu_bw : cpu_classes) {
+      for (const GBps cb : cpu_bw) {
+        for (const auto& gpu_bw : gpu_classes) {
+          for (const GBps gb : gpu_bw) {
+            table->cells.push_back(DegradationCell{
+                interp.cpu_degradation(cb, gb), interp.gpu_degradation(cb, gb)});
+          }
+        }
+      }
+    }
+    trace::counter_add("model.degradation_tables", 1.0);
+    trace::counter_add("model.degradation_interpolations",
+                       2.0 * static_cast<double>(table->cells.size()));
+    if (entries_.size() >= kMaxTables) {
+      const auto oldest = std::min_element(
+          entries_.begin(), entries_.end(), [](const auto& a, const auto& b) {
+            return a.second.last_use < b.second.last_use;
+          });
+      entries_.erase(oldest);
+    }
+    entries_.emplace(std::move(key), Entry{table, tick_});
+    return table;
+  }
+
+ private:
+  static constexpr std::size_t kMaxTables = 32;
+
+  struct Entry {
+    std::shared_ptr<const DegradationTable> table;
+    std::uint64_t last_use = 0;
+  };
+
+  std::mutex mutex_;
+  std::unordered_map<std::string, Entry> entries_;
+  std::uint64_t tick_ = 0;
+};
+
+/// Appends the exact cap to a memo key: its bit pattern, not a quantized
+/// bucket. The pair search and the lower-bound minimum both compute with
+/// the exact cap, so a key that merged neighbouring caps would serve one
+/// cap's answer for another. The raw bytes are as exact as a %.17g
+/// rendering and cost no formatting on the memo-hit path.
+void append_cap_key(std::string& key, std::optional<Watts> cap) {
+  if (!cap) {
+    key += "none";
+    return;
+  }
+  const Watts value = *cap;
+  key += 'w';
+  key.append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+/// Inserts into a pair-search memo, first dropping every entry once the
+/// memo holds kMemoEntryBound of them. The memos are pure functions of
+/// their keys, so clearing costs recomputation, never a different answer.
+template <typename Map, typename Value>
+void memo_insert(Map& memo, std::string key, const Value& value) {
+  if (memo.size() >= CoRunPredictor::kMemoEntryBound) memo.clear();
+  memo.emplace(std::move(key), value);
+}
+
+}  // namespace
+
+/// The analytic tables of one predictor. Rows exist only for (job, device)
+/// pairs the DB has profiles for; everything else falls back to the legacy
+/// on-demand path. Standalone entries are per row; the degradation cells
+/// live in a shared table indexed by each row's bandwidth class. pair()
+/// assembles a cell with the legacy expressions, so a table answer and a
+/// fallback answer are the same bits.
 struct CoRunPredictor::AnalyticCore {
   std::unordered_map<std::string, std::size_t> cpu_index;  ///< job -> row
   std::unordered_map<std::string, std::size_t> gpu_index;
@@ -35,7 +193,10 @@ struct CoRunPredictor::AnalyticCore {
   std::size_t gpu_levels = 0;
   std::vector<profile::ProfileEntry> cpu_entries;  ///< [row][level]
   std::vector<profile::ProfileEntry> gpu_entries;
-  std::vector<PairPrediction> pairs;  ///< [cpu row][cl][gpu row][gl]
+  std::vector<std::size_t> cpu_class;  ///< row -> bandwidth class
+  std::vector<std::size_t> gpu_class;
+  Watts idle_power = 0.0;
+  std::shared_ptr<const DegradationTable> degradation;
 
   [[nodiscard]] const profile::ProfileEntry* entry(
       sim::DeviceKind device, const std::string& job,
@@ -50,27 +211,109 @@ struct CoRunPredictor::AnalyticCore {
     return &entries[it->second * n + static_cast<std::size_t>(level)];
   }
 
-  [[nodiscard]] const PairPrediction* pair(const std::string& cpu_job,
-                                           sim::FreqLevel cpu_level,
-                                           const std::string& gpu_job,
-                                           sim::FreqLevel gpu_level) const {
-    if (cpu_level < 0 ||
-        static_cast<std::size_t>(cpu_level) >= cpu_levels ||
-        gpu_level < 0 || static_cast<std::size_t>(gpu_level) >= gpu_levels) {
-      return nullptr;
-    }
+  /// Table rows of one (cpu job, gpu job) pair.
+  struct Rows {
+    std::size_t cpu = 0;
+    std::size_t gpu = 0;
+  };
+
+  [[nodiscard]] std::optional<Rows> rows(const std::string& cpu_job,
+                                         const std::string& gpu_job) const {
     const auto ci = cpu_index.find(cpu_job);
-    if (ci == cpu_index.end()) return nullptr;
+    if (ci == cpu_index.end()) return std::nullopt;
     const auto gi = gpu_index.find(gpu_job);
-    if (gi == gpu_index.end()) return nullptr;
-    const std::size_t idx =
-        ((ci->second * cpu_levels + static_cast<std::size_t>(cpu_level)) *
-             gpu_index.size() +
-         gi->second) *
-            gpu_levels +
-        static_cast<std::size_t>(gpu_level);
-    return &pairs[idx];
+    if (gi == gpu_index.end()) return std::nullopt;
+    return Rows{ci->second, gi->second};
   }
+
+  [[nodiscard]] bool in_range(sim::FreqLevel cpu_level,
+                              sim::FreqLevel gpu_level) const {
+    return cpu_level >= 0 &&
+           static_cast<std::size_t>(cpu_level) < cpu_levels &&
+           gpu_level >= 0 && static_cast<std::size_t>(gpu_level) < gpu_levels;
+  }
+
+  /// predict_power's table arithmetic; levels must be in_range.
+  [[nodiscard]] Watts power_at(Rows r, sim::FreqLevel cpu_level,
+                               sim::FreqLevel gpu_level) const {
+    return cpu_entries[r.cpu * cpu_levels + static_cast<std::size_t>(cpu_level)]
+               .avg_power +
+           gpu_entries[r.gpu * gpu_levels + static_cast<std::size_t>(gpu_level)]
+               .avg_power -
+           idle_power;
+  }
+
+  /// predict's legacy arithmetic over the table; levels must be in_range.
+  [[nodiscard]] PairPrediction pair_at(Rows r, sim::FreqLevel cpu_level,
+                                       sim::FreqLevel gpu_level) const {
+    const auto cl = static_cast<std::size_t>(cpu_level);
+    const auto gl = static_cast<std::size_t>(gpu_level);
+    const profile::ProfileEntry& ce = cpu_entries[r.cpu * cpu_levels + cl];
+    const profile::ProfileEntry& ge = gpu_entries[r.gpu * gpu_levels + gl];
+    const DegradationCell& d =
+        degradation->at(cpu_class[r.cpu], cl, gpu_class[r.gpu], gl);
+    PairPrediction p;
+    p.cpu_degradation = d.cpu;
+    p.gpu_degradation = d.gpu;
+    p.cpu_solo_time = ce.time;
+    p.gpu_solo_time = ge.time;
+    p.cpu_time = ce.time * (1.0 + p.cpu_degradation);
+    p.gpu_time = ge.time * (1.0 + p.gpu_degradation);
+    p.power = ce.avg_power + ge.avg_power - idle_power;
+    return p;
+  }
+
+  [[nodiscard]] std::optional<PairPrediction> pair(
+      const std::string& cpu_job, sim::FreqLevel cpu_level,
+      const std::string& gpu_job, sim::FreqLevel gpu_level) const {
+    if (!in_range(cpu_level, gpu_level)) return std::nullopt;
+    const std::optional<Rows> r = rows(cpu_job, gpu_job);
+    if (!r) return std::nullopt;
+    return pair_at(*r, cpu_level, gpu_level);
+  }
+};
+
+/// A (cpu job, gpu job) pair resolved once for the pair searches, which
+/// sweep every level pair: the table rows when both jobs have them, the
+/// name-keyed queries otherwise. feasible() and predict() answer exactly
+/// as corun_feasible() and predict() do, minus two job-name lookups per
+/// level pair.
+class CoRunPredictor::PairView {
+ public:
+  PairView(const CoRunPredictor& model, const std::string& cpu_job,
+           const std::string& gpu_job)
+      : model_(model),
+        cpu_job_(cpu_job),
+        gpu_job_(gpu_job),
+        core_(model.analytic_core()) {
+    if (core_ != nullptr) rows_ = core_->rows(cpu_job, gpu_job);
+  }
+
+  [[nodiscard]] bool feasible(sim::FreqLevel fc, sim::FreqLevel fg,
+                              std::optional<Watts> cap) const {
+    if (!cap) return true;
+    if (rows_ && core_->in_range(fc, fg)) {
+      model_.count_analytic_hit();
+      return core_->power_at(*rows_, fc, fg) <= *cap;
+    }
+    return model_.predict_power(cpu_job_, fc, gpu_job_, fg) <= *cap;
+  }
+
+  [[nodiscard]] PairPrediction predict(sim::FreqLevel fc,
+                                       sim::FreqLevel fg) const {
+    if (rows_ && core_->in_range(fc, fg)) {
+      model_.count_analytic_hit();
+      return core_->pair_at(*rows_, fc, fg);
+    }
+    return model_.predict(cpu_job_, fc, gpu_job_, fg);
+  }
+
+ private:
+  const CoRunPredictor& model_;
+  const std::string& cpu_job_;
+  const std::string& gpu_job_;
+  const AnalyticCore* core_;
+  std::optional<AnalyticCore::Rows> rows_;
 };
 
 CoRunPredictor::CoRunPredictor(const profile::ProfileDB& db,
@@ -105,6 +348,16 @@ std::unique_ptr<CoRunPredictor::AnalyticCore> CoRunPredictor::build_core()
       static_cast<std::size_t>(config_.cpu_ladder.max_level()) + 1;
   core->gpu_levels =
       static_cast<std::size_t>(config_.gpu_ladder.max_level()) + 1;
+  core->idle_power = db_.idle_power();
+  // Rows whose per-level bandwidth vectors are bit-identical share a class
+  // (scaled instances and drifted jobs keep their anchor's bandwidths).
+  // Classes are numbered in first-seen row order.
+  std::vector<std::vector<GBps>> cpu_classes;
+  std::vector<std::vector<GBps>> gpu_classes;
+  std::unordered_map<std::string, std::size_t> cpu_class_of;
+  std::unordered_map<std::string, std::size_t> gpu_class_of;
+  // Row order follows the insertion order of the index maps (db_.jobs() is
+  // sorted, so the layout is deterministic).
   for (const std::string& job : db_.jobs()) {
     for (const sim::DeviceKind device :
          {sim::DeviceKind::kCpu, sim::DeviceKind::kGpu}) {
@@ -114,38 +367,24 @@ std::unique_ptr<CoRunPredictor::AnalyticCore> CoRunPredictor::build_core()
       auto& entries = cpu ? core->cpu_entries : core->gpu_entries;
       const std::size_t n = cpu ? core->cpu_levels : core->gpu_levels;
       index.emplace(job, index.size());
+      std::vector<GBps> bw(n);
       for (std::size_t l = 0; l < n; ++l) {
         entries.push_back(
             entry_at(job, device, static_cast<sim::FreqLevel>(l)));
+        bw[l] = entries.back().avg_bw;
       }
+      auto& classes = cpu ? cpu_classes : gpu_classes;
+      auto& class_of = cpu ? cpu_class_of : gpu_class_of;
+      const auto [it, fresh] = class_of.emplace(
+          std::string(reinterpret_cast<const char*>(bw.data()),
+                      bw.size() * sizeof(GBps)),
+          classes.size());
+      if (fresh) classes.push_back(std::move(bw));
+      (cpu ? core->cpu_class : core->gpu_class).push_back(it->second);
     }
   }
-  const std::size_t n_cpu = core->cpu_index.size();
-  const std::size_t n_gpu = core->gpu_index.size();
-  core->pairs.resize(n_cpu * core->cpu_levels * n_gpu * core->gpu_levels);
-  std::size_t idx = 0;
-  // Row order follows entry storage, which follows the insertion order of
-  // the index maps (db_.jobs() is sorted, so the layout is deterministic).
-  for (std::size_t ci = 0; ci < n_cpu; ++ci) {
-    for (std::size_t cl = 0; cl < core->cpu_levels; ++cl) {
-      const profile::ProfileEntry& ce =
-          core->cpu_entries[ci * core->cpu_levels + cl];
-      for (std::size_t gi = 0; gi < n_gpu; ++gi) {
-        for (std::size_t gl = 0; gl < core->gpu_levels; ++gl) {
-          const profile::ProfileEntry& ge =
-              core->gpu_entries[gi * core->gpu_levels + gl];
-          PairPrediction& p = core->pairs[idx++];
-          p.cpu_degradation = interp_.cpu_degradation(ce.avg_bw, ge.avg_bw);
-          p.gpu_degradation = interp_.gpu_degradation(ce.avg_bw, ge.avg_bw);
-          p.cpu_solo_time = ce.time;
-          p.gpu_solo_time = ge.time;
-          p.cpu_time = ce.time * (1.0 + p.cpu_degradation);
-          p.gpu_time = ge.time * (1.0 + p.gpu_degradation);
-          p.power = ce.avg_power + ge.avg_power - db_.idle_power();
-        }
-      }
-    }
-  }
+  core->degradation =
+      DegradationRegistry::instance().get(interp_, cpu_classes, gpu_classes);
   return core;
 }
 
@@ -252,7 +491,7 @@ PairPrediction CoRunPredictor::predict(const std::string& cpu_job,
                                        const std::string& gpu_job,
                                        sim::FreqLevel gpu_level) const {
   if (const AnalyticCore* core = analytic_core()) {
-    if (const PairPrediction* p =
+    if (const std::optional<PairPrediction> p =
             core->pair(cpu_job, cpu_level, gpu_job, gpu_level)) {
       count_analytic_hit();
       return *p;
@@ -281,13 +520,10 @@ Watts CoRunPredictor::predict_power(const std::string& cpu_job,
                                     const std::string& gpu_job,
                                     sim::FreqLevel gpu_level) const {
   if (const AnalyticCore* core = analytic_core()) {
-    const profile::ProfileEntry* ce =
-        core->entry(sim::DeviceKind::kCpu, cpu_job, cpu_level);
-    const profile::ProfileEntry* ge =
-        core->entry(sim::DeviceKind::kGpu, gpu_job, gpu_level);
-    if (ce != nullptr && ge != nullptr) {
+    if (const auto rows = core->rows(cpu_job, gpu_job);
+        rows && core->in_range(cpu_level, gpu_level)) {
       count_analytic_hit();
-      return ce->avg_power + ge->avg_power - db_.idle_power();
+      return core->power_at(*rows, cpu_level, gpu_level);
     }
   }
   return standalone_power(cpu_job, sim::DeviceKind::kCpu, cpu_level) +
@@ -342,20 +578,11 @@ Seconds CoRunPredictor::min_corun_time(const std::string& job,
                                        const std::string& partner,
                                        std::optional<Watts> cap,
                                        bool include_floor_pair) const {
-  // Exact cap rendering (%.17g, not a quantized bucket): the minimum feeds
-  // admissible lower bounds, where serving a neighbouring cap's value would
-  // silently change pruning decisions.
-  char cap_buf[64];
-  if (cap) {
-    std::snprintf(cap_buf, sizeof(cap_buf), "%.17g", *cap);
-  } else {
-    std::snprintf(cap_buf, sizeof(cap_buf), "none");
-  }
   std::string key = job;
   key += device == sim::DeviceKind::kCpu ? "|c|" : "|g|";
   key += partner;
   key += '|';
-  key += cap_buf;
+  append_cap_key(key, cap);
   key += include_floor_pair ? "|f" : "|s";
   {
     const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
@@ -367,23 +594,29 @@ Seconds CoRunPredictor::min_corun_time(const std::string& job,
 
   const std::string& cpu_job = device == sim::DeviceKind::kCpu ? job : partner;
   const std::string& gpu_job = device == sim::DeviceKind::kCpu ? partner : job;
+  const PairView view(*this, cpu_job, gpu_job);
   Seconds best = std::numeric_limits<Seconds>::infinity();
   for (sim::FreqLevel fc = 0; fc <= config_.cpu_ladder.max_level(); ++fc) {
     for (sim::FreqLevel fg = 0; fg <= config_.gpu_ladder.max_level(); ++fg) {
-      if (!corun_feasible(cpu_job, fc, gpu_job, fg, cap) &&
+      if (!view.feasible(fc, fg, cap) &&
           !(include_floor_pair && fc == 0 && fg == 0)) {
         continue;
       }
-      const PairPrediction p = predict(cpu_job, fc, gpu_job, fg);
+      const PairPrediction p = view.predict(fc, fg);
       best = std::min(best,
                       device == sim::DeviceKind::kCpu ? p.cpu_time : p.gpu_time);
     }
   }
   {
     const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
-    corun_min_cache_.emplace(std::move(key), best);
+    memo_insert(corun_min_cache_, std::move(key), best);
   }
   return best;
+}
+
+CoRunPredictor::MemoSizes CoRunPredictor::memo_sizes() const {
+  const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
+  return MemoSizes{pair_cache_.size(), corun_min_cache_.size()};
 }
 
 std::optional<FreqPair> CoRunPredictor::best_pair_min_makespan(
@@ -408,8 +641,7 @@ std::optional<FreqPair> CoRunPredictor::best_pair_weighted(
   key += '|';
   key += gpu_job;
   key += '|';
-  key += std::to_string(
-      cap ? static_cast<long long>(std::llround(*cap * 100.0)) : -1LL);
+  append_cap_key(key, cap);
   key += '|';
   key += std::to_string(bucket);
   {
@@ -421,12 +653,13 @@ std::optional<FreqPair> CoRunPredictor::best_pair_weighted(
   const double cpu_weight_q = wc;
   const double gpu_weight_q = wg;
 
+  const PairView view(*this, cpu_job, gpu_job);
   std::optional<FreqPair> best;
   double best_metric = std::numeric_limits<double>::infinity();
   for (sim::FreqLevel fc = 0; fc <= config_.cpu_ladder.max_level(); ++fc) {
     for (sim::FreqLevel fg = 0; fg <= config_.gpu_ladder.max_level(); ++fg) {
-      if (!corun_feasible(cpu_job, fc, gpu_job, fg, cap)) continue;
-      const PairPrediction p = predict(cpu_job, fc, gpu_job, fg);
+      if (!view.feasible(fc, fg, cap)) continue;
+      const PairPrediction p = view.predict(fc, fg);
       // Tiny secondary objective: among near-equal maxima prefer the pair
       // that also finishes the lighter side sooner.
       const double metric =
@@ -440,7 +673,7 @@ std::optional<FreqPair> CoRunPredictor::best_pair_weighted(
   }
   {
     const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
-    pair_cache_.emplace(std::move(key), best);
+    memo_insert(pair_cache_, std::move(key), best);
   }
   return best;
 }
@@ -448,12 +681,13 @@ std::optional<FreqPair> CoRunPredictor::best_pair_weighted(
 std::optional<FreqPair> CoRunPredictor::best_pair_min_degradation(
     const std::string& cpu_job, const std::string& gpu_job,
     std::optional<Watts> cap) const {
+  const PairView view(*this, cpu_job, gpu_job);
   std::optional<FreqPair> best;
   double best_metric = std::numeric_limits<double>::infinity();
   for (sim::FreqLevel fc = 0; fc <= config_.cpu_ladder.max_level(); ++fc) {
     for (sim::FreqLevel fg = 0; fg <= config_.gpu_ladder.max_level(); ++fg) {
-      if (!corun_feasible(cpu_job, fc, gpu_job, fg, cap)) continue;
-      const PairPrediction p = predict(cpu_job, fc, gpu_job, fg);
+      if (!view.feasible(fc, fg, cap)) continue;
+      const PairPrediction p = view.predict(fc, fg);
       // Among equal degradations prefer the higher-frequency (faster) pair;
       // folding a small negative frequency bonus into the metric does that
       // without a separate tie-break pass.
@@ -473,15 +707,16 @@ std::optional<sim::FreqLevel> CoRunPredictor::best_level_against(
     const std::string& job, sim::DeviceKind device, const std::string& partner,
     sim::FreqLevel partner_level, std::optional<Watts> cap) const {
   const sim::FrequencyLadder& ladder = config_.ladder(device);
+  const std::string& cpu_job = device == sim::DeviceKind::kCpu ? job : partner;
+  const std::string& gpu_job = device == sim::DeviceKind::kCpu ? partner : job;
+  const PairView view(*this, cpu_job, gpu_job);
   std::optional<sim::FreqLevel> best;
   double best_time = std::numeric_limits<double>::infinity();
   for (sim::FreqLevel l = 0; l <= ladder.max_level(); ++l) {
-    const std::string& cpu_job = device == sim::DeviceKind::kCpu ? job : partner;
-    const std::string& gpu_job = device == sim::DeviceKind::kCpu ? partner : job;
     const sim::FreqLevel fc = device == sim::DeviceKind::kCpu ? l : partner_level;
     const sim::FreqLevel fg = device == sim::DeviceKind::kCpu ? partner_level : l;
-    if (!corun_feasible(cpu_job, fc, gpu_job, fg, cap)) continue;
-    const PairPrediction p = predict(cpu_job, fc, gpu_job, fg);
+    if (!view.feasible(fc, fg, cap)) continue;
+    const PairPrediction p = view.predict(fc, fg);
     const double t = device == sim::DeviceKind::kCpu ? p.cpu_time : p.gpu_time;
     if (t < best_time) {
       best_time = t;

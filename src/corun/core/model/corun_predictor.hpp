@@ -173,13 +173,30 @@ class CoRunPredictor {
     return options_;
   }
 
+  /// Entry bound of each pair-search memo (best_pair_weighted,
+  /// min_corun_time). A memo that reaches it is cleared before the next
+  /// insert, so a long-lived predictor fed continuous caps stays bounded.
+  static constexpr std::size_t kMemoEntryBound = std::size_t{1} << 14;
+
+  /// Current entry counts of the two pair-search memos.
+  struct MemoSizes {
+    std::size_t best_pair = 0;
+    std::size_t corun_min = 0;
+  };
+  [[nodiscard]] MemoSizes memo_sizes() const;
+
  private:
-  /// Dense cap-independent tables: one ProfileEntry per profiled
-  /// (job, device, level) and one PairPrediction per
-  /// (cpu job, cpu level, gpu job, gpu level) cell. Built lazily on first
-  /// query under core_mutex_ and published through an acquire/release
-  /// pointer, so the parallel schedule searches race-freely share one copy.
+  /// Cap-independent tables: one ProfileEntry per profiled
+  /// (job, device, level), a bandwidth class per row, and a shared
+  /// degradation table per (cpu class, cpu level, gpu class, gpu level)
+  /// cell. Built lazily on first query under core_mutex_ and published
+  /// through an acquire/release pointer, so the parallel schedule searches
+  /// race-freely share one copy. The degradation table comes from a
+  /// process-wide registry keyed by the exact bytes of the grid and the
+  /// class bandwidths, so every predictor with the same content (every
+  /// fleet machine, every rebuild after a drift) shares one immutable copy.
   struct AnalyticCore;
+  class PairView;
 
   /// The published tables, building them on first use; nullptr when
   /// options_.analytic_tables is off.
@@ -205,11 +222,12 @@ class CoRunPredictor {
   // Pair-search memoization. Only the weight *ratio* affects the argmin
   // (scaling both weights scales the whole metric), so the cache keys on
   // the log-ratio quantized to quarter-octaves — schedulers issue the same
-  // queries thousands of times during refinement. The cache is a pure
-  // function of (jobs, cap, ratio bucket), so concurrent fills from the
-  // parallel schedule searches always agree on the value; the mutex only
-  // protects the map structure (lookups and inserts are brief, the search
-  // itself runs unlocked and may rarely be duplicated).
+  // queries thousands of times during refinement — and on the exact cap.
+  // The cache is a pure function of (jobs, cap, ratio bucket), so
+  // concurrent fills from the parallel schedule searches always agree on
+  // the value; the mutex only protects the map structure (lookups and
+  // inserts are brief, the search itself runs unlocked and may rarely be
+  // duplicated). Both memos are bounded by kMemoEntryBound.
   mutable std::mutex pair_cache_mutex_;
   mutable std::unordered_map<std::string, std::optional<FreqPair>> pair_cache_;
   mutable std::unordered_map<std::string, Seconds> corun_min_cache_;

@@ -3,6 +3,8 @@
 // purity (identical divisions from any thread count or call ordering).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <sstream>
@@ -118,6 +120,104 @@ TEST(PowerStrategyContract, MarginalUtilityFeedsTheBottleneck) {
   // Equal demands tie-break identically (lowest index first means equal
   // totals after the greedy loop empties the budget in quanta).
   EXPECT_NEAR(caps[1], caps[2], limits.quantum + 1e-9);
+}
+
+/// The marginal-utility division as a full bottleneck scan per quantum —
+/// the O(quanta * machines) reference the heap-ordered divide must match
+/// cap for cap. Floors, the strict `>` (lowest index wins ties) and the
+/// conservation trim are spelled out exactly as the strategy contract
+/// states them.
+std::vector<Watts> marginal_scan_oracle(Watts global_cap,
+                                        const std::vector<MachineDemand>& demands,
+                                        const StrategyLimits& limits,
+                                        const SpeedCurve& curve) {
+  std::vector<Watts> caps(demands.size(), 0.0);
+  for (std::size_t m = 0; m < demands.size(); ++m) {
+    if (demands[m].alive) caps[m] = limits.floor;
+  }
+  double budget =
+      global_cap - limits.floor * static_cast<double>(live_count(demands));
+  while (budget >= limits.quantum) {
+    std::size_t bottleneck = demands.size();
+    double worst = -std::numeric_limits<double>::infinity();
+    for (std::size_t m = 0; m < demands.size(); ++m) {
+      if (!demands[m].alive || demands[m].demand_seconds <= 0.0) continue;
+      if (caps[m] + limits.quantum > limits.ceiling) continue;
+      const double t = demands[m].demand_seconds / curve.speed_at(caps[m]);
+      if (t > worst) {
+        worst = t;
+        bottleneck = m;
+      }
+    }
+    if (bottleneck == demands.size()) break;
+    caps[bottleneck] += limits.quantum;
+    budget -= limits.quantum;
+  }
+  double excess = -global_cap;
+  for (const Watts c : caps) excess += c;
+  for (std::size_t m = 0; m < caps.size() && excess > 0.0; ++m) {
+    if (caps[m] <= limits.floor) continue;
+    const double cut = std::min(excess, caps[m] - limits.floor);
+    caps[m] -= cut;
+    excess -= cut;
+  }
+  return caps;
+}
+
+TEST(PowerStrategyContract, MarginalHeapMatchesTheFullScanOracle) {
+  const MarginalUtilityStrategy marginal;
+  const SpeedCurve linear;
+  const SpeedCurve ladder = SpeedCurve::from_machine(sim::ivy_bridge());
+  std::size_t saturated = 0;
+  std::size_t tied = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed * 7919);
+    StrategyLimits limits;
+    // A low ceiling on a third of the seeds makes machines saturate long
+    // before the budget runs out.
+    limits.ceiling = seed % 3 == 0 ? rng.uniform(9.0, 14.0) : 35.0;
+    limits.quantum = seed % 4 == 0 ? 0.5 : 0.25;
+    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 96));
+    std::vector<MachineDemand> demands(n);
+    for (MachineDemand& d : demands) {
+      d.alive = !rng.chance(0.15);
+      // Demands drawn from a small set of values tie exactly; zero demand
+      // never earns a quantum.
+      const double draw = rng.uniform(0.0, 1.0);
+      if (draw < 0.1) {
+        d.demand_seconds = 0.0;
+      } else if (draw < 0.5) {
+        d.demand_seconds = 60.0 * static_cast<double>(rng.uniform_int(1, 4));
+      } else {
+        d.demand_seconds = rng.uniform(5.0, 300.0);
+      }
+      d.jobs = 1;
+    }
+    const std::size_t live = live_count(demands);
+    const Watts global =
+        limits.floor * static_cast<double>(live) +
+        rng.uniform(0.0, (limits.ceiling + 4.0 - limits.floor) *
+                             static_cast<double>(live + 1));
+    const SpeedCurve& curve = seed % 2 == 0 ? ladder : linear;
+    const auto expected = marginal_scan_oracle(global, demands, limits, curve);
+    const auto caps = marginal.divide(global, demands, limits, curve);
+    ASSERT_EQ(caps.size(), expected.size());
+    for (std::size_t m = 0; m < caps.size(); ++m) {
+      ASSERT_EQ(caps[m], expected[m])
+          << "seed " << seed << " machine " << m << " of " << n;
+      if (demands[m].alive && caps[m] + limits.quantum > limits.ceiling) {
+        ++saturated;
+      }
+      if (m > 0 && demands[m].alive && demands[m - 1].alive &&
+          demands[m].demand_seconds == demands[m - 1].demand_seconds &&
+          demands[m].demand_seconds > 0.0) {
+        ++tied;
+      }
+    }
+  }
+  // The corpus must actually reach the cases it claims to cover.
+  EXPECT_GT(saturated, 100u);
+  EXPECT_GT(tied, 100u);
 }
 
 TEST(PowerStrategyContract, DivisionIsPureAcrossThreadCounts) {

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "corun/common/check.hpp"
+#include "corun/common/trace/trace.hpp"
 #include "corun/core/model/degradation_space.hpp"
+#include "corun/profile/online_profiler.hpp"
 #include "corun/profile/profiler.hpp"
 #include "corun/workload/rodinia.hpp"
 
@@ -231,6 +238,249 @@ TEST_F(CoRunPredictorTest, AnalyticTablesFallBackOutsideDomain) {
   EXPECT_THROW(
       (void)tables.standalone_time("nope", sim::DeviceKind::kCpu, 0),
       corun::ContractViolation);
+}
+
+void expect_same_bits(const PairPrediction& a, const PairPrediction& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.cpu_degradation, b.cpu_degradation) << where;
+  EXPECT_EQ(a.gpu_degradation, b.gpu_degradation) << where;
+  EXPECT_EQ(a.cpu_solo_time, b.cpu_solo_time) << where;
+  EXPECT_EQ(a.gpu_solo_time, b.gpu_solo_time) << where;
+  EXPECT_EQ(a.cpu_time, b.cpu_time) << where;
+  EXPECT_EQ(a.gpu_time, b.gpu_time) << where;
+  EXPECT_EQ(a.power, b.power) << where;
+}
+
+/// Every pair query on `tables` returns the same bits as `legacy`, over all
+/// jobs and every ladder level.
+void expect_tables_match_legacy(const CoRunPredictor& tables,
+                                const CoRunPredictor& legacy,
+                                const sim::MachineConfig& config) {
+  const auto jobs = tables.db().jobs();
+  for (const std::string& cpu_job : jobs) {
+    for (const std::string& gpu_job : jobs) {
+      for (sim::FreqLevel fc = 0; fc <= config.cpu_ladder.max_level(); ++fc) {
+        for (sim::FreqLevel fg = 0; fg <= config.gpu_ladder.max_level();
+             ++fg) {
+          expect_same_bits(tables.predict(cpu_job, fc, gpu_job, fg),
+                           legacy.predict(cpu_job, fc, gpu_job, fg),
+                           cpu_job + "@" + std::to_string(fc) + " | " +
+                               gpu_job + "@" + std::to_string(fg));
+        }
+      }
+    }
+  }
+}
+
+double counter_total(const char* name) {
+  for (const trace::CounterTotal& c : trace::counter_totals()) {
+    if (c.name == name) return c.total;
+  }
+  return 0.0;
+}
+
+/// The shared degradation tables are content-addressed: rows that keep an
+/// anchor's bandwidths (cross-run scaled instances, drifted jobs) reuse its
+/// class and the registry's table, while an online-sampled job measures new
+/// bandwidths and gets a class (and so a table) of its own. Every answer is
+/// the same bits as the on-demand path either way.
+TEST_F(CoRunPredictorTest, SharedDegradationTablesAreByteIdenticalToLegacy) {
+  // A grid no other test uses, so the table-build counts below start from
+  // an empty registry slot even when the suite repeats in one process.
+  static int uses = 0;
+  DegradationGrid grid = *grid_;
+  grid.cpu_deg[0][0] += 1e-6 * static_cast<double>(++uses);
+
+  profile::ProfileDB scaled = *db_;
+  scaled.add_scaled_instance("streamcluster", "streamcluster_x2", 2.0);
+  scaled.add_scaled_instance("dwt2d", "dwt2d_half", 0.5);
+  scaled.scale_job("leukocyte", 1.25);
+  scaled.scale_job("dwt2d_half", 0.8);
+
+  profile::ProfileDB sampled = scaled;
+  {
+    workload::Batch batch;
+    batch.add(workload::rodinia_by_name("hotspot").value(), 7);
+    const profile::OnlineProfiler online(
+        *config_, profile::OnlineProfilerOptions{.sample_seconds = 1.0});
+    const profile::ProfileDB estimate = online.profile_batch(batch);
+    const std::string& job = batch.job(0).instance_name;
+    for (const sim::DeviceKind d :
+         {sim::DeviceKind::kCpu, sim::DeviceKind::kGpu}) {
+      for (const sim::FreqLevel l : estimate.levels(job, d)) {
+        sampled.insert("hotspot_online", d, l, estimate.at(job, d, l));
+      }
+    }
+  }
+
+  trace::reset();
+  trace::set_enabled(true);
+  const CoRunPredictor base(*db_, grid, *config_);
+  (void)base.predict("dwt2d", 0, "streamcluster", 0);
+  const double after_base = counter_total("model.degradation_tables");
+
+  const CoRunPredictor scaled_tables(scaled, grid, *config_);
+  (void)scaled_tables.predict("dwt2d_half", 0, "streamcluster_x2", 0);
+  const double after_scaled = counter_total("model.degradation_tables");
+
+  const CoRunPredictor sampled_tables(sampled, grid, *config_);
+  (void)sampled_tables.predict("hotspot_online", 0, "dwt2d", 0);
+  const double after_sampled = counter_total("model.degradation_tables");
+  trace::set_enabled(false);
+  trace::reset();
+
+  EXPECT_EQ(after_base, 1.0) << "the fresh grid must build one table";
+  EXPECT_EQ(after_scaled, after_base)
+      << "scaled and drifted rows keep their anchor's class";
+  EXPECT_EQ(after_sampled, after_scaled + 1.0)
+      << "an online-sampled job brings a new class";
+
+  const PredictorOptions off{.analytic_tables = false};
+  expect_tables_match_legacy(scaled_tables,
+                             CoRunPredictor(scaled, grid, *config_, off),
+                             *config_);
+  expect_tables_match_legacy(sampled_tables,
+                             CoRunPredictor(sampled, grid, *config_, off),
+                             *config_);
+}
+
+/// Eight threads build predictors over one DB at once: they race on the
+/// process-wide table registry and on each predictor's lazy core, and all
+/// must answer with the legacy bits. Run under the tsan preset to check the
+/// registry's locking.
+TEST_F(CoRunPredictorTest, ConcurrentPredictorBuildsShareOneTable) {
+  static int uses = 0;
+  DegradationGrid grid = *grid_;
+  grid.gpu_deg[1][1] += 1e-6 * static_cast<double>(++uses);
+  const CoRunPredictor legacy(*db_, grid, *config_,
+                              PredictorOptions{.analytic_tables = false});
+  const auto jobs = db_->jobs();
+  trace::reset();
+  trace::set_enabled(true);
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 4; ++round) {
+        const CoRunPredictor mine(*db_, grid, *config_);
+        for (const std::string& cpu_job : jobs) {
+          for (const std::string& gpu_job : jobs) {
+            for (sim::FreqLevel fc = 0; fc <= config_->cpu_ladder.max_level();
+                 ++fc) {
+              for (sim::FreqLevel fg = 0;
+                   fg <= config_->gpu_ladder.max_level(); ++fg) {
+                const PairPrediction a = mine.predict(cpu_job, fc, gpu_job, fg);
+                const PairPrediction b =
+                    legacy.predict(cpu_job, fc, gpu_job, fg);
+                if (a.cpu_time != b.cpu_time || a.gpu_time != b.gpu_time ||
+                    a.power != b.power ||
+                    a.cpu_degradation != b.cpu_degradation ||
+                    a.gpu_degradation != b.gpu_degradation) {
+                  ++mismatches[static_cast<std::size_t>(t)];
+                }
+              }
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const double tables_built = counter_total("model.degradation_tables");
+  trace::set_enabled(false);
+  trace::reset();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
+  EXPECT_EQ(tables_built, 1.0) << "32 predictors over one DB and grid";
+}
+
+/// The pair-search memo keys on the exact cap. Two caps in one 0.01 W
+/// bucket whose feasible sets differ (one sits exactly on a pair's
+/// predicted power, the other just below it) must each get their own
+/// answer from one long-lived predictor — the answer a fresh predictor
+/// gives.
+TEST_F(CoRunPredictorTest, PairMemoKeysOnTheExactCap) {
+  int checked = 0;
+  for (const std::string& cpu_job : db_->jobs()) {
+    for (const std::string& gpu_job : db_->jobs()) {
+      for (sim::FreqLevel fc = 0; fc <= config_->cpu_ladder.max_level();
+           ++fc) {
+        for (sim::FreqLevel fg = 0; fg <= config_->gpu_ladder.max_level();
+             ++fg) {
+          const Watts on = predictor_->predict_power(cpu_job, fc, gpu_job, fg);
+          const Watts below = std::nextafter(on, 0.0);
+          if (std::llround(on * 100.0) != std::llround(below * 100.0)) continue;
+          const CoRunPredictor fresh_on(*predictor_, PredictorOptions{});
+          const CoRunPredictor fresh_below(*predictor_, PredictorOptions{});
+          const auto want_on =
+              fresh_on.best_pair_weighted(cpu_job, gpu_job, on, 1.0, 2.0);
+          const auto want_below =
+              fresh_below.best_pair_weighted(cpu_job, gpu_job, below, 1.0, 2.0);
+          if (want_on == want_below) continue;
+          // Both orders on one predictor: each cap keeps its own answer.
+          const CoRunPredictor shared(*predictor_, PredictorOptions{});
+          EXPECT_EQ(shared.best_pair_weighted(cpu_job, gpu_job, on, 1.0, 2.0),
+                    want_on);
+          EXPECT_EQ(
+              shared.best_pair_weighted(cpu_job, gpu_job, below, 1.0, 2.0),
+              want_below)
+              << cpu_job << "/" << gpu_job << " at " << below << " W";
+          const CoRunPredictor reversed(*predictor_, PredictorOptions{});
+          EXPECT_EQ(
+              reversed.best_pair_weighted(cpu_job, gpu_job, below, 1.0, 2.0),
+              want_below);
+          EXPECT_EQ(
+              reversed.best_pair_weighted(cpu_job, gpu_job, on, 1.0, 2.0),
+              want_on)
+              << cpu_job << "/" << gpu_job << " at " << on << " W";
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0) << "no cap pair in one bucket changed the answer";
+}
+
+/// A long-lived predictor fed 100k distinct caps keeps both pair-search
+/// memos under their bound, and clearing them never changes an answer.
+TEST_F(CoRunPredictorTest, PairMemosStayBoundedUnderContinuousCaps) {
+  const CoRunPredictor live(*predictor_, PredictorOptions{});
+  std::size_t peak_pairs = 0;
+  std::size_t peak_mins = 0;
+  int compared = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const Watts cap = 9.0 + 1e-4 * static_cast<double>(i);
+    const auto pair =
+        live.best_pair_weighted("dwt2d", "streamcluster", cap, 1.0, 1.0);
+    const Seconds min = live.min_corun_time(
+        "dwt2d", sim::DeviceKind::kCpu, "streamcluster", cap, false);
+    const auto sizes = live.memo_sizes();
+    peak_pairs = std::max(peak_pairs, sizes.best_pair);
+    peak_mins = std::max(peak_mins, sizes.corun_min);
+    if (i % 4999 == 0) {
+      const CoRunPredictor fresh(*predictor_, PredictorOptions{});
+      EXPECT_EQ(pair, fresh.best_pair_weighted("dwt2d", "streamcluster", cap,
+                                               1.0, 1.0))
+          << cap;
+      EXPECT_EQ(min, fresh.min_corun_time("dwt2d", sim::DeviceKind::kCpu,
+                                          "streamcluster", cap, false))
+          << cap;
+      ++compared;
+    }
+  }
+  EXPECT_LE(peak_pairs, CoRunPredictor::kMemoEntryBound);
+  EXPECT_LE(peak_mins, CoRunPredictor::kMemoEntryBound);
+  EXPECT_GT(peak_pairs, CoRunPredictor::kMemoEntryBound / 2)
+      << "the sweep must actually fill the memo";
+  EXPECT_EQ(compared, 21);
+  // Early caps, long since cleared out of the memos, answer as before.
+  const CoRunPredictor fresh(*predictor_, PredictorOptions{});
+  for (const Watts cap : {9.0, 9.0001, 9.5}) {
+    EXPECT_EQ(live.best_pair_weighted("dwt2d", "streamcluster", cap, 1.0, 1.0),
+              fresh.best_pair_weighted("dwt2d", "streamcluster", cap, 1.0, 1.0));
+  }
 }
 
 }  // namespace
