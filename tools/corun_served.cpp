@@ -15,9 +15,9 @@
 // drained into one chunk before planning, so a pipelining client amortizes
 // the plan-cache and task-pool costs while an interactive client keeps
 // per-request latency. Responses of a chunk are emitted in ascending seq
-// order; `ok` bodies are byte-identical to `corun-schedule` over the same
-// artifacts regardless of batch composition, arrival interleaving, or
-// `--jobs`.
+// order, each as soon as it and those ahead of it are planned; `ok` bodies
+// are byte-identical to `corun-schedule` over the same artifacts
+// regardless of batch composition, arrival interleaving, or `--jobs`.
 //
 // Shutdown: SIGTERM/SIGINT (or client EOF in stdin mode) ends the serve
 // loop; the daemon prints its session counters and the plan-cache report
@@ -28,13 +28,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -125,20 +123,31 @@ void serve_stream(int in_fd, int out_fd, corun::serve::ServeSession& session) {
                                    std::chrono::steady_clock::now()});
     } while (readable_now(in_fd));
 
-    std::vector<PlanResponse> responses = session.serve_chunk(std::move(chunk));
-    responses.insert(responses.end(),
-                     std::make_move_iterator(malformed.begin()),
-                     std::make_move_iterator(malformed.end()));
-    std::stable_sort(responses.begin(), responses.end(),
-                     [](const PlanResponse& a, const PlanResponse& b) {
-                       return a.seq < b.seq;
-                     });
-    for (const PlanResponse& response : responses) {
-      if (!corun::serve::write_frame(
-              out_fd, corun::serve::response_to_payload(response))) {
-        std::fprintf(stderr, "corun-served: response write failed\n");
-        return;
+    // Each response is written as soon as the session hands it out, so a
+    // pipelining client refills the transport while the rest of the chunk
+    // plans, and the next chunk is already waiting when this one ends.
+    // The malformed answers (seq 0) go out just ahead of the first planned
+    // response with a higher seq, where an ascending-seq sort puts them.
+    bool written = true;
+    auto write = [&](const PlanResponse& response) {
+      written = written && corun::serve::write_frame(
+                               out_fd,
+                               corun::serve::response_to_payload(response));
+    };
+    std::size_t malformed_sent = 0;
+    auto write_malformed = [&] {
+      while (malformed_sent < malformed.size()) {
+        write(malformed[malformed_sent++]);
       }
+    };
+    session.serve_chunk(std::move(chunk), [&](PlanResponse response) {
+      if (response.seq > 0) write_malformed();
+      write(response);
+    });
+    write_malformed();
+    if (!written) {
+      std::fprintf(stderr, "corun-served: response write failed\n");
+      return;
     }
   }
 }
