@@ -258,7 +258,6 @@ int main(int argc, char** argv) {
     for (std::size_t i = 1; i < caps.size(); ++i) {
       sched::SchedulerContext ctx = make_ctx(batch, predictor, caps[i]);
       ctx.incumbent_hint = strong_plans[i - 1];
-      ctx.hint_kind = sched::SchedulerContext::HintKind::kRepair;
       sched::BranchAndBoundScheduler repaired;
       const auto t0 = std::chrono::steady_clock::now();
       const sched::Schedule plan = repaired.plan(ctx);

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -16,16 +14,6 @@
 #include "corun/common/trace/trace.hpp"
 
 namespace corun::model {
-
-bool default_analytic_tables() {
-  static const bool value = [] {
-    const char* env = std::getenv("CORUN_ANALYTIC_EVAL");
-    if (env == nullptr) return true;
-    const std::string_view v(env);
-    return !(v == "0" || v == "off" || v == "false");
-  }();
-  return value;
-}
 
 namespace {
 

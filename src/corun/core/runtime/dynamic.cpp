@@ -403,7 +403,6 @@ class Executor {
         options_.scheduler == "bnb") {
       if (auto donor = repair_donor(subset)) {
         ctx.incumbent_hint = std::move(donor);
-        ctx.hint_kind = sched::SchedulerContext::HintKind::kRepair;
       }
     }
     if (count_as_replan) ++report_.replans;
@@ -435,7 +434,7 @@ class Executor {
                 dynamic_cast<const sched::BranchAndBoundScheduler*>(algo);
             bnb != nullptr && searched) {
           if (bnb->exhausted_budget()) ++report_.bnb_budget_exhausted;
-          if (bnb->repair_hint_used()) ++report_.plan_repairs;
+          if (bnb->warm_started()) ++report_.plan_repairs;
           if (bnb->repair_fallback()) ++report_.repair_fallbacks;
         }
         return true;
@@ -739,8 +738,6 @@ class Executor {
       const sched::PlanCacheStats now = options_.plan_cache->stats();
       report_.plan_cache_hits = now.hits - cache_stats_at_start_.hits;
       report_.plan_cache_misses = now.misses - cache_stats_at_start_.misses;
-      report_.plan_cache_warm_hits =
-          now.warm_hits - cache_stats_at_start_.warm_hits;
     }
     if (recorder_ != nullptr) {
       const auto saved = sim::save_demand_trace(recorder_->trace(),

@@ -74,12 +74,10 @@ struct DynamicOptions {
 
   /// Memoized plan cache consulted before every (re-)plan; null = off. May
   /// be shared across runs — repeated sub-problems (same pending set at the
-  /// same cap) then skip the search entirely, and near hits warm-start the
-  /// branch-and-bound incumbent. Cache state never changes the schedules
-  /// or reports produced (exact hits replay identical requests; warm hints
-  /// only tighten pruning and are disabled whenever the B&B node budget
-  /// could truncate the search), so runs stay byte-identical with it on or
-  /// off as long as every search ran to completion — a truncated B&B is
+  /// same cap) then skip the search entirely. Cache state never changes
+  /// the schedules or reports produced (exact hits replay identical
+  /// requests), so runs stay byte-identical with it on or off as long as
+  /// every search ran to completion — a truncated B&B is
   /// interleaving-dependent with or without a cache, and the report flags
   /// it via `bnb_budget_exhausted`. The default budget can never bind for
   /// batches within the default job limit.
@@ -91,10 +89,11 @@ struct DynamicOptions {
   /// best solo device — and donates the repaired schedule to the search as
   /// an incumbent hint. The search re-encodes it into leaf space and falls
   /// back to the full result only when a strictly better leaf exists
-  /// (DynamicReport::repair_fallbacks counts those). Like the plan cache's
-  /// warm starts, repair never changes the schedules or reports produced —
-  /// runs are byte-identical with it on or off — it only lets the search
-  /// start from a near-optimal bound and prune most of the tree.
+  /// (DynamicReport::repair_fallbacks counts those). Repair never changes
+  /// the schedules or reports produced — runs are byte-identical with it
+  /// on or off — it only lets the search start from a near-optimal bound
+  /// and prune most of the tree. Hints are disabled whenever the B&B node
+  /// budget could truncate the search.
   bool plan_repair = true;
 };
 
@@ -142,7 +141,6 @@ struct DynamicReport {
   /// byte-identical on stdout.
   std::uint64_t plan_cache_hits = 0;
   std::uint64_t plan_cache_misses = 0;
-  std::uint64_t plan_cache_warm_hits = 0;
 
   /// Plans where branch-and-bound stopped on its node budget. Non-zero
   /// means those searches were truncated: the schedules are still valid

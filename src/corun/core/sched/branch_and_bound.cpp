@@ -44,20 +44,6 @@ BranchAndBoundScheduler::BranchAndBoundScheduler(BranchAndBoundOptions options)
     : options_(options) {}
 
 Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
-  // Analytic-eval opt-out: re-plan against a legacy copy-view of the
-  // predictor (same DB/grid/machine, tables off). The tables are
-  // byte-identical by construction, so this can only ever reproduce the
-  // same schedule — it exists to let tests and the fidelity bench prove
-  // that claim.
-  if (!options_.analytic_eval && ctx.predictor != nullptr &&
-      ctx.predictor->options().analytic_tables) {
-    const model::CoRunPredictor legacy(
-        *ctx.predictor, model::PredictorOptions{.analytic_tables = false});
-    SchedulerContext legacy_ctx = ctx;
-    legacy_ctx.predictor = &legacy;
-    return plan(legacy_ctx);
-  }
-
   CORUN_TRACE_SPAN("sched", "bnb.plan");
   const std::size_t n = ctx.jobs().size();
   CORUN_CHECK_MSG(n <= options_.max_jobs,
@@ -199,8 +185,8 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
     root.remaining += std::min(t_cpu[i], t_gpu[i]);
   }
 
-  // A warm hint (plan-cache near hit, or a repaired previous plan from the
-  // dynamic runtime) donates a *schedule* for this job set. Its raw
+  // A warm hint (a repaired previous plan from the dynamic runtime)
+  // donates a *schedule* for this job set. Its raw
   // makespan is not a sound pruning bound: the donor was order-refined
   // and/or levelled under a different cap, so it can lie strictly below
   // every leaf this search enumerates (index-order sequences at the
@@ -221,7 +207,6 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
   // default-sized batches and the hint stays active on the hot path.
   Seconds hint = std::numeric_limits<Seconds>::infinity();
   warm_started_ = false;
-  repair_hint_used_ = false;
   repair_fallback_ = false;
   const bool budget_cannot_bind =
       n + 1 < 8 * sizeof(std::size_t) &&
@@ -254,10 +239,7 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
         hint = evaluator.makespan(leaf_schedule(encoded));
         warm_started_ = true;
         CORUN_TRACE_INSTANT("sched", "bnb.warm_start");
-        if (ctx.hint_kind == SchedulerContext::HintKind::kRepair) {
-          repair_hint_used_ = true;
-          CORUN_TRACE_COUNTER("bnb.repairs", 1);
-        }
+        CORUN_TRACE_COUNTER("bnb.repairs", 1);
       }
     }
   }
@@ -343,14 +325,13 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
     for (std::size_t job = 0; job < entry_depth; ++job) {
       cur.push(job, prefix[job]);
     }
-    return entry_depth;
   };
 
   auto search_subtree = [&](const SearchState& subtree_root) {
     std::pair<Seconds, Schedule> local{
         std::numeric_limits<Seconds>::infinity(), Schedule{}};
     IncrementalBound::Cursor cur = bound_model.cursor();
-    const std::size_t entry_depth = replay_prefix(subtree_root, cur);
+    replay_prefix(subtree_root, cur);
 
     // Root gate: a subtree whose root bound already exceeds the incumbent
     // contains only strictly worse leaves — skip it without entering (no
@@ -513,7 +494,7 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
   // repaired plan was already optimal in leaf space. Otherwise the full
   // search was genuinely needed — the fallback the runtime's repair
   // statistics report.
-  if (repair_hint_used_ && best < hint) {
+  if (warm_started_ && best < hint) {
     repair_fallback_ = true;
     CORUN_TRACE_COUNTER("bnb.repair_fallbacks", 1);
   }

@@ -2,7 +2,7 @@
 
 #include <unistd.h>
 
-#include <algorithm>
+#include <iterator>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,35 +16,6 @@ namespace corun::sched {
 namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
-
-/// True when every name in `needed` (sorted) appears in `have` (sorted).
-bool covers(const std::vector<std::string>& have,
-            const std::vector<std::string>& needed) {
-  return std::includes(have.begin(), have.end(), needed.begin(),
-                       needed.end());
-}
-
-/// Restricts a by-name schedule CSV to the rows whose job is in `keep`,
-/// preserving flags and relative order. Returns the filtered CSV text.
-std::optional<std::string> restrict_schedule_csv(
-    const std::string& text, const std::vector<std::string>& keep) {
-  const auto rows = parse_csv(text);
-  if (!rows.has_value()) return std::nullopt;
-  std::ostringstream out;
-  CsvWriter writer(out);
-  for (const auto& row : rows.value()) {
-    if (row.empty()) continue;
-    if (row[0] == "flags") {
-      writer.write_row(row);
-      continue;
-    }
-    if (row[0] != "entry" || row.size() != 6) return std::nullopt;
-    if (std::binary_search(keep.begin(), keep.end(), row[3])) {
-      writer.write_row(row);
-    }
-  }
-  return out.str();
-}
 
 }  // namespace
 
@@ -136,42 +107,18 @@ std::optional<Schedule> PlanCache::lookup(
   return std::move(schedule).value();
 }
 
-std::optional<WarmStartCandidate> PlanCache::near_lookup(
-    const PlanSignature& sig, const std::vector<std::string>& batch_names) {
-  // Family entries colocate in one shard by construction, so the scan
-  // never needs to leave it.
-  Shard& shard = shard_for(sig);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  // Most recently used first: re-plans typically follow the entry that was
-  // just stored (previous cap, pre-arrival batch), so recency is both the
-  // best heuristic and a deterministic tie-break.
-  for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
-    if (it->family != sig.family) continue;
-    if (it->canonical == sig.canonical) continue;
-    if (!covers(it->job_names, sig.job_names)) continue;
-    const auto restricted =
-        restrict_schedule_csv(it->schedule_csv, sig.job_names);
-    if (!restricted) continue;
-    auto schedule = schedule_from_csv(*restricted, batch_names);
-    if (!schedule.has_value()) continue;
-    shard.stats.warm_hits.fetch_add(1, kRelaxed);
-    CORUN_TRACE_COUNTER("plan_cache.warm_hits", 1);
-    return WarmStartCandidate{.schedule = std::move(schedule).value(),
-                              .cached_makespan = it->makespan};
-  }
-  return std::nullopt;
+void PlanCache::count_warm_start(const PlanSignature& sig) {
+  shard_for(sig).stats.warm_hits.fetch_add(1, kRelaxed);
+  CORUN_TRACE_COUNTER("plan_cache.warm_hits", 1);
 }
 
 void PlanCache::store(const PlanSignature& sig, const Schedule& schedule,
-                      const std::vector<std::string>& batch_names,
-                      Seconds makespan) {
+                      const std::vector<std::string>& batch_names) {
   std::ostringstream oss;
   schedule_to_csv(schedule, batch_names, oss);
   Entry entry{.canonical = sig.canonical,
-              .family = sig.family,
               .job_names = sig.job_names,
-              .schedule_csv = oss.str(),
-              .makespan = makespan};
+              .schedule_csv = oss.str()};
   Shard& shard = shard_for(sig);
   std::lock_guard<std::mutex> lock(shard.mutex);
   shard.stats.stores.fetch_add(1, kRelaxed);
@@ -235,15 +182,11 @@ std::string PlanCache::entry_path(std::uint64_t hash) const {
 }
 
 std::string plan_cache_entry_to_csv(const std::string& canonical,
-                                    const std::string& family,
                                     const std::vector<std::string>& job_names,
-                                    const std::string& schedule_csv,
-                                    Seconds makespan) {
+                                    const std::string& schedule_csv) {
   std::ostringstream oss;
   CsvWriter writer(oss);
   writer.write_row({"sig", canonical});
-  writer.write_row({"family", family});
-  writer.write_row({"makespan", signature_double(makespan)});
   std::vector<std::string> jobs_row{"jobs"};
   jobs_row.insert(jobs_row.end(), job_names.begin(), job_names.end());
   writer.write_row(jobs_row);
@@ -263,14 +206,16 @@ std::optional<PlanCache::Entry> PlanCache::load_from_disk(
     return std::nullopt;
   }
   const auto rows = parse_csv(content.str());
-  if (!rows.has_value() || rows.value().size() < 4) {
+  // An unparsable file, or one in another layout (the older one with
+  // `family` and `makespan` rows), is a miss; the next store of this
+  // signature overwrites it.
+  if (!rows.has_value() || rows.value().size() < 2) {
     shard.stats.io_failures.fetch_add(1, kRelaxed);
     return std::nullopt;
   }
   const auto& r = rows.value();
-  if (r[0].size() != 2 || r[0][0] != "sig" || r[1].size() != 2 ||
-      r[1][0] != "family" || r[2].size() != 2 || r[2][0] != "makespan" ||
-      r[3].empty() || r[3][0] != "jobs") {
+  if (r[0].size() != 2 || r[0][0] != "sig" || r[1].empty() ||
+      r[1][0] != "jobs") {
     shard.stats.io_failures.fetch_add(1, kRelaxed);
     return std::nullopt;
   }
@@ -279,17 +224,10 @@ std::optional<PlanCache::Entry> PlanCache::load_from_disk(
   if (r[0][1] != sig.canonical) return std::nullopt;
   Entry entry;
   entry.canonical = r[0][1];
-  entry.family = r[1][1];
-  try {
-    entry.makespan = std::stod(r[2][1]);
-  } catch (const std::exception&) {
-    shard.stats.io_failures.fetch_add(1, kRelaxed);
-    return std::nullopt;
-  }
-  entry.job_names.assign(r[3].begin() + 1, r[3].end());
+  entry.job_names.assign(r[1].begin() + 1, r[1].end());
   std::ostringstream schedule;
   CsvWriter writer(schedule);
-  for (std::size_t i = 4; i < r.size(); ++i) {
+  for (std::size_t i = 2; i < r.size(); ++i) {
     if (r[i].empty()) continue;
     writer.write_row(r[i]);
   }
@@ -319,9 +257,8 @@ void PlanCache::save_to_disk(Shard& shard, const Entry& entry,
       shard.stats.io_failures.fetch_add(1, kRelaxed);
       return;
     }
-    out << plan_cache_entry_to_csv(entry.canonical, entry.family,
-                                   entry.job_names, entry.schedule_csv,
-                                   entry.makespan);
+    out << plan_cache_entry_to_csv(entry.canonical, entry.job_names,
+                                   entry.schedule_csv);
     out.close();
     if (!out) {
       shard.stats.io_failures.fetch_add(1, kRelaxed);

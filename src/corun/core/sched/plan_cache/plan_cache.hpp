@@ -4,15 +4,15 @@
 // schedule that request produced, stored in the by-name CSV form so a hit
 // can be remapped onto any batch ordering of the same job set. Two tiers:
 //
-//   - an in-memory LRU tier (always on), **sharded by signature family**:
-//     the family hash selects one of `shards` independent shards, each with
-//     its own mutex, LRU list, index, and atomic counters, so concurrent
-//     requests from a serving loop only contend when they share a family.
-//     Entries of one family always colocate in one shard — the invariant
-//     near-hit scans rely on. Each shard holds up to `capacity` entries
-//     before evicting, least recently touched first; eviction order within
-//     a shard is strictly deterministic because it depends only on that
-//     shard's own operation sequence, never on cross-shard interleaving;
+//   - an in-memory LRU tier (always on), **sharded by signature hash**:
+//     the canonical signature's hash selects one of `shards` independent
+//     shards, each with its own mutex, LRU list, index, and atomic
+//     counters, so concurrent requests from a serving loop only contend
+//     when their signatures share a shard. Each shard holds up to
+//     `capacity` entries before evicting, least recently touched first;
+//     eviction order within a shard is strictly deterministic because it
+//     depends only on that shard's own operation sequence, never on
+//     cross-shard interleaving;
 //   - an optional persistent tier: one CSV file per entry under `dir`,
 //     named by the 64-bit FNV-1a of the canonical signature and carrying
 //     the full signature for verification, so a hash collision or a stale
@@ -20,19 +20,8 @@
 //     %.17g convention and round-trip exactly.
 //
 // Exact hits return the cached schedule without invoking the wrapped
-// search. Near hits — same family (scheduler + model artifacts) with a
-// different cap, or a cached superset of the requested job set — do not
-// short-circuit the search; they donate their *schedule* as a warm-start
-// candidate. Branch-and-bound re-encodes the donor into its own leaf
-// space (placement kept, order and levels rebuilt for the current cap)
-// and seeds its incumbent with the re-encoded makespan, so pruning starts
-// tight instead of from the heuristic seed alone; the donor's raw
-// makespan is never used, because a refined or differently-capped donor
-// can undercut every leaf the search enumerates. Warm starts tighten only
-// the incumbent *value*, never replace the returned schedule — behaviour
-// stays byte-identical to a cold search whenever the search runs to
-// completion, which the hint itself guarantees by disabling warm starts
-// when the node budget could bind (see branch_and_bound.cpp).
+// search; everything else is a miss that runs the search and stores its
+// result.
 //
 // Thread safety: every public method is safe to call concurrently. The
 // stats counters are atomics updated with relaxed ordering — `stats()`
@@ -62,7 +51,7 @@ namespace corun::sched {
 struct PlanCacheConfig {
   std::size_t capacity = 512;  ///< per-shard entries before LRU eviction
   std::string dir;             ///< persistent tier directory ("" = off)
-  std::size_t shards = 8;      ///< per-family-hash shard count
+  std::size_t shards = 8;      ///< shard count (signature hash mod shards)
 };
 
 /// Monotonic counters; `snapshot()` them around a phase to attribute
@@ -72,18 +61,11 @@ struct PlanCacheConfig {
 struct PlanCacheStats {
   std::uint64_t hits = 0;         ///< exact hits (search skipped)
   std::uint64_t misses = 0;       ///< neither tier had the exact entry
-  std::uint64_t warm_hits = 0;    ///< near hit donated a warm-start seed
+  std::uint64_t warm_hits = 0;    ///< misses planned with a caller's hint
   std::uint64_t evictions = 0;    ///< LRU evictions from the memory tier
   std::uint64_t disk_hits = 0;    ///< exact hits served by the disk tier
   std::uint64_t stores = 0;       ///< entries written
   std::uint64_t io_failures = 0;  ///< unreadable/unwritable tier files
-};
-
-/// A near hit: a cached schedule covering (at least) the requested job set,
-/// restricted to it and remapped to the requesting batch's indices.
-struct WarmStartCandidate {
-  Schedule schedule;
-  Seconds cached_makespan = 0.0;  ///< under the *cached* context; advisory
 };
 
 class PlanCache {
@@ -105,17 +87,13 @@ class PlanCache {
   [[nodiscard]] std::optional<Schedule> lookup(
       const PlanSignature& sig, const std::vector<std::string>& batch_names);
 
-  /// Near lookup for warm starts: the most recently stored family entry
-  /// whose job set contains every requested name (a different cap, or a
-  /// superset batch). Returns the restricted, remapped schedule. Does not
-  /// count as a hit or miss; counts warm_hits when it yields a candidate.
-  [[nodiscard]] std::optional<WarmStartCandidate> near_lookup(
-      const PlanSignature& sig, const std::vector<std::string>& batch_names);
+  /// Counts a miss that reached the planner carrying the caller's
+  /// incumbent hint (today: a dynamic-runtime plan repair) as a warm hit.
+  void count_warm_start(const PlanSignature& sig);
 
-  /// Records a planning result. `makespan` is the schedule's predicted
-  /// makespan under the request's own context.
+  /// Records a planning result.
   void store(const PlanSignature& sig, const Schedule& schedule,
-             const std::vector<std::string>& batch_names, Seconds makespan);
+             const std::vector<std::string>& batch_names);
 
   [[nodiscard]] PlanCacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
@@ -123,11 +101,10 @@ class PlanCache {
     return config_;
   }
 
-  /// The shard a signature family maps to: `family_hash % shards`. Exposed
-  /// so tests (and capacity planning) can predict shard placement.
-  [[nodiscard]] std::size_t shard_index(
-      std::uint64_t family_hash) const noexcept {
-    return static_cast<std::size_t>(family_hash % config_.shards);
+  /// The shard a signature maps to: `hash % shards`. Exposed so tests
+  /// (and capacity planning) can predict shard placement.
+  [[nodiscard]] std::size_t shard_index(std::uint64_t hash) const noexcept {
+    return static_cast<std::size_t>(hash % config_.shards);
   }
 
   /// Keys currently in the memory tier: shards in index order, each
@@ -138,10 +115,8 @@ class PlanCache {
  private:
   struct Entry {
     std::string canonical;
-    std::string family;
     std::vector<std::string> job_names;  ///< sorted
     std::string schedule_csv;            ///< by-name serialization
-    Seconds makespan = 0.0;
   };
 
   /// Live counters for one shard. Relaxed ordering everywhere: each counter
@@ -165,7 +140,7 @@ class PlanCache {
   };
 
   [[nodiscard]] Shard& shard_for(const PlanSignature& sig) noexcept {
-    return shards_[shard_index(sig.family_hash)];
+    return shards_[shard_index(sig.hash)];
   }
 
   /// Inserts (or refreshes) an entry at the MRU end, evicting if needed.
@@ -183,13 +158,12 @@ class PlanCache {
 /// Serializes one cache entry to its persistent CSV form / parses it back.
 /// Exposed for the round-trip tests. Schema:
 ///   sig,<canonical>
-///   family,<family>
-///   makespan,<%.17g>
 ///   jobs,<name>,<name>,...
-/// followed by the schedule_to_csv rows (by instance name).
+/// followed by the schedule_to_csv rows (by instance name). A file in any
+/// other layout (such as the older one that also carried `family` and
+/// `makespan` rows) reads as a miss and is rewritten by the next store.
 [[nodiscard]] std::string plan_cache_entry_to_csv(
-    const std::string& canonical, const std::string& family,
-    const std::vector<std::string>& job_names, const std::string& schedule_csv,
-    Seconds makespan);
+    const std::string& canonical, const std::vector<std::string>& job_names,
+    const std::string& schedule_csv);
 
 }  // namespace corun::sched

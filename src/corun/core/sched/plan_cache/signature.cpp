@@ -110,16 +110,13 @@ PlanSignature assemble_signature(const SchedulerContext& ctx,
   sig.job_names = ctx.job_names();
   std::sort(sig.job_names.begin(), sig.job_names.end());
 
-  std::ostringstream family;
-  family << "v1;scheduler=" << scheduler_id << ";seed=" << seed << ";policy="
-         << (ctx.policy == sim::GovernorPolicy::kCpuBiased ? "cpu" : "gpu")
-         << ";machine=" << machine_hex << ";grid=" << grid_hex
-         << ";idle=" << idle_text;
-  sig.family = family.str();
-
   std::ostringstream canonical;
-  canonical << sig.family << ";cap=";
-  canonical << (ctx.cap ? signature_double(*ctx.cap) : "none");
+  canonical << "v1;scheduler=" << scheduler_id << ";seed=" << seed
+            << ";policy="
+            << (ctx.policy == sim::GovernorPolicy::kCpuBiased ? "cpu" : "gpu")
+            << ";machine=" << machine_hex << ";grid=" << grid_hex
+            << ";idle=" << idle_text << ";cap="
+            << (ctx.cap ? signature_double(*ctx.cap) : "none");
   for (const std::string& name : sig.job_names) {
     canonical << ";job{" << name << "|" << job_hex(name) << "}";
   }
@@ -128,9 +125,6 @@ PlanSignature assemble_signature(const SchedulerContext& ctx,
   Fnv64 h;
   h.update(sig.canonical);
   sig.hash = h.digest();
-  Fnv64 fh;
-  fh.update(sig.family);
-  sig.family_hash = fh.digest();
   return sig;
 }
 

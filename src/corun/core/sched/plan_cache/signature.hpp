@@ -15,11 +15,7 @@
 //   - content-addressed: profile rows, grid cells and ladder frequencies
 //     are digested with %.17g renderings, so any profile-db drift (e.g. a
 //     noise event) or re-characterization changes the signature and
-//     invalidates stale entries instead of serving them;
-//   - two granularities: `canonical` identifies the exact request, while
-//     `family` drops the cap and the job set — entries of one family are
-//     re-plans of the same scheduler over the same model artifacts, which
-//     is exactly the population warm-start lookups search.
+//     invalidates stale entries instead of serving them.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +65,7 @@ class Fnv64 {
 
 struct PlanSignature {
   std::string canonical;  ///< exact request identity
-  std::string family;     ///< canonical minus cap + job set (warm-start pool)
-  std::uint64_t hash = 0;        ///< FNV-1a of `canonical`
-  std::uint64_t family_hash = 0; ///< FNV-1a of `family`
+  std::uint64_t hash = 0; ///< FNV-1a of `canonical`
   std::vector<std::string> job_names;  ///< request's instance names, sorted
 };
 

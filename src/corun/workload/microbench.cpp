@@ -49,7 +49,6 @@ Expected<KernelDescriptor> micro_kernel(GBps target_bw, Seconds duration) {
               .llc_footprint_mb = target_bw > 0.0 ? 4.0 : 0.0,
               .llc_sensitivity = 0.02};
   desc.gpu = desc.cpu;
-  desc.num_args = 3;  // in_data_1, in_data_2, out_data
   desc.phase_count = 1;
   desc.phase_variability = 0.0;  // a stressor must be steady
   return desc;

@@ -1,5 +1,5 @@
 // End-to-end pipeline tests: profile -> characterize -> predict -> plan ->
-// execute, through both the library API and the mini-OpenCL surface.
+// execute, through the library API.
 #include <gtest/gtest.h>
 
 #include "../support/fixtures.hpp"
@@ -7,8 +7,6 @@
 #include "corun/core/sched/corun_theorem.hpp"
 #include "corun/core/sched/hcs.hpp"
 #include "corun/core/sched/refiner.hpp"
-#include "corun/ocl/queue.hpp"
-#include "corun/workload/microbench.hpp"
 
 namespace corun {
 namespace {
@@ -72,37 +70,6 @@ TEST(EndToEnd, ModelPredictionTracksGroundTruthPerPair) {
     EXPECT_NEAR(engine.stats(gid).runtime(), pl.second, pl.second * 0.45)
         << cname << "+" << gname;
   }
-}
-
-TEST(EndToEnd, OclApiDrivesTheSameMachine) {
-  // A user of the OpenCL-style API observes the same contention physics the
-  // scheduler models: two hungry kernels stretch, a compute kernel doesn't.
-  auto platform = ocl::Platform::create_default();
-  auto context = std::make_shared<ocl::Context>(platform);
-  auto cpu_q = ocl::CommandQueue::create(context, platform->cpu());
-  auto gpu_q = ocl::CommandQueue::create(context, platform->gpu());
-
-  auto make_kernel = [&](const std::string& name, double bw) {
-    const auto desc = workload::micro_kernel(bw, 8.0).value();
-    auto program = ocl::Program::build(
-        context, {{name, workload::make_kernel_source(desc, 1)}});
-    auto kernel = program->create_kernel(name).value();
-    for (int i = 0; i < 3; ++i) {
-      kernel->set_arg(i,
-                      context->create_buffer(64u << 20, ocl::MemFlags::kReadWrite));
-    }
-    return kernel;
-  };
-
-  const auto hungry_cpu = cpu_q->enqueue(make_kernel("hc", 11.0)).value();
-  const auto hungry_gpu = gpu_q->enqueue(make_kernel("hg", 11.0)).value();
-  hungry_cpu->wait();
-  hungry_gpu->wait();
-  EXPECT_GT(hungry_cpu->duration(), 8.0 * 1.3);  // heavy mutual degradation
-
-  const auto quiet_cpu = cpu_q->enqueue(make_kernel("qc", 0.0)).value();
-  quiet_cpu->wait();
-  EXPECT_NEAR(quiet_cpu->duration(), 8.0, 0.2);  // alone: standalone speed
 }
 
 TEST(EndToEnd, ArtifactsSurviveCsvRoundTrip) {

@@ -72,18 +72,20 @@ TEST(BranchAndBound, BudgetExhaustionFallsBackGracefully) {
 
 TEST(BranchAndBound, AnalyticEvalOptOutIsByteIdentical) {
   // The dense analytic tables (PredictorOptions::analytic_tables) hold the
-  // exact bits the legacy on-demand path computes, so searching with
-  // analytic_eval off — which re-plans through a table-free copy-view of
-  // the predictor — must return the same schedule bytes at every cap.
+  // exact bits the legacy on-demand path computes, so searching through a
+  // table-free copy-view of the predictor must return the same schedule
+  // bytes at every cap.
   for (const testing::Fixture* f :
        {&motivation_fixture(), &eight_program_fixture()}) {
+    const model::CoRunPredictor table_free(
+        *f->predictor, model::PredictorOptions{.analytic_tables = false});
     for (const Watts cap : {11.0, 13.5, 15.0, 18.0}) {
       const auto ctx = f->context(cap);
-      BranchAndBoundScheduler analytic;
-      BranchAndBoundScheduler legacy(
-          BranchAndBoundOptions{.analytic_eval = false});
-      EXPECT_EQ(analytic.plan(ctx).to_string(ctx.job_names()),
-                legacy.plan(ctx).to_string(ctx.job_names()))
+      auto legacy_ctx = ctx;
+      legacy_ctx.predictor = &table_free;
+      EXPECT_EQ(BranchAndBoundScheduler().plan(ctx).to_string(ctx.job_names()),
+                BranchAndBoundScheduler().plan(legacy_ctx).to_string(
+                    ctx.job_names()))
           << "cap=" << cap << " n=" << f->batch.size();
     }
   }

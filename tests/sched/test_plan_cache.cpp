@@ -1,14 +1,16 @@
 // Plan cache: signature canonicalization, deterministic LRU behaviour,
 // persistent-tier round trips, and — the property everything else leans
 // on — cache-assisted planning returning byte-identical schedules to cold
-// planning, exact hit or warm start alike.
+// planning. The WarmStart suite pins the B&B incumbent hint the dynamic
+// runtime's plan repair donates.
 #include "corun/core/sched/plan_cache/plan_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -63,20 +65,15 @@ TEST(PlanSignature, OrderInvariantAcrossBatchPermutations) {
   EXPECT_TRUE(std::is_sorted(a.job_names.begin(), a.job_names.end()));
 }
 
-TEST(PlanSignature, FamilySharedAcrossCapsButNotSchedulers) {
+TEST(PlanSignature, CapAndSchedulerArePartOfTheIdentity) {
   const auto& f = motivation_fixture();
   const PlanSignature low = make_signature(f.context(12.0), "bnb", 0);
-  const PlanSignature high = make_signature(f.context(18.0), "bnb", 0);
-  const PlanSignature uncapped =
-      make_signature(f.context(std::nullopt), "bnb", 0);
-  EXPECT_NE(low.canonical, high.canonical);
-  EXPECT_NE(low.canonical, uncapped.canonical);
-  EXPECT_EQ(low.family, high.family);
-  EXPECT_EQ(low.family, uncapped.family);
-
-  const PlanSignature hcs = make_signature(f.context(12.0), "hcs+", 0);
-  EXPECT_NE(low.canonical, hcs.canonical);
-  EXPECT_NE(low.family, hcs.family);
+  EXPECT_NE(low.canonical,
+            make_signature(f.context(18.0), "bnb", 0).canonical);
+  EXPECT_NE(low.canonical,
+            make_signature(f.context(std::nullopt), "bnb", 0).canonical);
+  EXPECT_NE(low.canonical,
+            make_signature(f.context(12.0), "hcs+", 0).canonical);
 }
 
 TEST(PlanSignature, SeedAndPolicyArePartOfTheIdentity) {
@@ -107,7 +104,8 @@ TEST(PlanCache, FromSpecParsesEveryForm) {
 
 TEST(PlanCache, LruEvictionOrderIsDeterministic) {
   const auto& f = motivation_fixture();
-  auto cache = PlanCache::from_spec("mem:2").value();
+  // One shard, so all three entries compete for the same two slots.
+  auto cache = PlanCache::from_spec("mem:2:1").value();
   BranchAndBoundScheduler bnb;
 
   const std::vector<Watts> caps = {12.0, 14.0, 16.0};
@@ -115,7 +113,7 @@ TEST(PlanCache, LruEvictionOrderIsDeterministic) {
   for (const Watts cap : caps) {
     const auto ctx = f.context(cap);
     sigs.push_back(make_signature(ctx, "bnb", 0));
-    cache->store(sigs.back(), bnb.plan(ctx), ctx.job_names(), 1.0);
+    cache->store(sigs.back(), bnb.plan(ctx), ctx.job_names());
   }
   // Capacity 2: storing the third entry evicts the first (LRU).
   EXPECT_EQ(cache->size(), 2u);
@@ -132,7 +130,7 @@ TEST(PlanCache, LruEvictionOrderIsDeterministic) {
             (std::vector<std::string>{sigs[2].canonical, sigs[1].canonical}));
   const auto ctx18 = f.context(18.0);
   cache->store(make_signature(ctx18, "bnb", 0), bnb.plan(ctx18),
-               ctx18.job_names(), 1.0);
+               ctx18.job_names());
   EXPECT_TRUE(cache->lookup(sigs[1], names).has_value());
   EXPECT_FALSE(cache->lookup(sigs[2], names).has_value());
 }
@@ -147,7 +145,7 @@ TEST_F(PlanCacheDirTest, PersistentTierRoundTripsExactly) {
 
   {
     auto writer = PlanCache::from_spec(spec).value();
-    writer->store(sig, planned, ctx.job_names(), 1.0 / 3.0);
+    writer->store(sig, planned, ctx.job_names());
     EXPECT_EQ(writer->stats().io_failures, 0u);
   }
   // One file, named by the canonical hash.
@@ -169,17 +167,52 @@ TEST_F(PlanCacheDirTest, PersistentTierRoundTripsExactly) {
   EXPECT_FALSE(reader->lookup(other, ctx.job_names()).has_value());
 }
 
-TEST(PlanCacheEntry, CsvCarriesFullSignatureAndExactMakespan) {
-  const std::string csv = plan_cache_entry_to_csv(
-      "v1;canonical", "v1;family", {"a", "b"}, "flags,0,0,0\n", 1.0 / 3.0);
-  EXPECT_NE(csv.find("sig,v1;canonical"), std::string::npos);
-  EXPECT_NE(csv.find("family,v1;family"), std::string::npos);
-  EXPECT_NE(csv.find("jobs,a,b"), std::string::npos);
-  // The %.17g convention: the stored makespan survives a strtod round trip.
-  EXPECT_NE(csv.find("makespan," + signature_double(1.0 / 3.0)),
-            std::string::npos);
-  EXPECT_EQ(std::strtod(signature_double(1.0 / 3.0).c_str(), nullptr),
-            1.0 / 3.0);
+TEST_F(PlanCacheDirTest, OldFormatEntryIsAMissAndTheNextStoreRewritesIt) {
+  const auto& f = motivation_fixture();
+  const auto ctx = f.context(15.0);
+  const PlanSignature sig = make_signature(ctx, "bnb", 0);
+  const Schedule planned = make_scheduler("bnb", 42)->plan(ctx);
+  std::ostringstream schedule_csv;
+  schedule_to_csv(planned, ctx.job_names(), schedule_csv);
+
+  // An entry in the older layout, which carried `family` and `makespan`
+  // rows between the signature and the job set, at this request's path.
+  std::filesystem::create_directories(dir_);
+  const auto path = dir_ / ("plan_" + hex64(sig.hash) + ".csv");
+  {
+    std::ofstream old(path);
+    old << "sig," << sig.canonical << "\nfamily,v1;family\nmakespan,1\njobs";
+    for (const std::string& name : sig.job_names) old << "," << name;
+    old << "\n" << schedule_csv.str();
+  }
+
+  const std::string spec = "dir:" + dir_.string();
+  auto cache = PlanCache::from_spec(spec).value();
+  const Schedule first = make_cached_scheduler("bnb", 42, cache)->plan(ctx);
+  EXPECT_EQ(plan_text(first, ctx), plan_text(planned, ctx));
+  EXPECT_EQ(cache->stats().hits, 0u);
+  EXPECT_EQ(cache->stats().misses, 1u);
+  EXPECT_EQ(cache->stats().disk_hits, 0u);
+  EXPECT_EQ(cache->stats().stores, 1u);
+
+  std::ifstream in(path);
+  std::ostringstream rewritten;
+  rewritten << in.rdbuf();
+  EXPECT_EQ(rewritten.str(),
+            plan_cache_entry_to_csv(sig.canonical, sig.job_names,
+                                    schedule_csv.str()));
+
+  auto reader = PlanCache::from_spec(spec).value();
+  const Schedule second = make_cached_scheduler("bnb", 42, reader)->plan(ctx);
+  EXPECT_EQ(plan_text(second, ctx), plan_text(planned, ctx));
+  EXPECT_EQ(reader->stats().disk_hits, 1u);
+  EXPECT_EQ(reader->stats().hits, 1u);
+}
+
+TEST(PlanCacheEntry, CsvCarriesFullSignatureAndJobSet) {
+  EXPECT_EQ(plan_cache_entry_to_csv("v1;canonical", {"a", "b"},
+                                    "flags,0,0,0\n"),
+            "sig,v1;canonical\njobs,a,b\nflags,0,0,0\n");
 }
 
 TEST(CachingScheduler, ExactHitReplaysTheIdenticalSchedule) {
@@ -197,17 +230,27 @@ TEST(CachingScheduler, ExactHitReplaysTheIdenticalSchedule) {
   EXPECT_EQ(cache->stats().hits, 1u);
 }
 
-TEST(CachingScheduler, NearHitWarmStartsWithoutChangingTheSchedule) {
+TEST(CachingScheduler, MissCarryingACallerHintCountsAsWarm) {
   const auto& f = motivation_fixture();
   auto cache = PlanCache::from_spec("mem").value();
   auto cached = make_cached_scheduler("bnb", 42, cache);
-  auto cold = make_scheduler("bnb", 42);
 
-  (void)cached->plan(f.context(15.0));  // populate the family
-  const auto ctx = f.context(13.0);
+  const Schedule donor = cached->plan(f.context(15.0));  // no hint
+  EXPECT_EQ(cache->stats().warm_hits, 0u);
+
+  // The dynamic runtime's plan repair: a miss that reaches the search
+  // with a hint. The hint may only prune, never change the schedule.
+  SchedulerContext ctx = f.context(13.0);
+  ctx.incumbent_hint = donor;
   const Schedule warm_plan = cached->plan(ctx);
-  EXPECT_GE(cache->stats().warm_hits, 1u);
-  EXPECT_EQ(plan_text(warm_plan, ctx), plan_text(cold->plan(ctx), ctx));
+  EXPECT_EQ(plan_text(warm_plan, ctx),
+            plan_text(make_scheduler("bnb", 42)->plan(f.context(13.0)), ctx));
+  EXPECT_EQ(cache->stats().warm_hits, 1u);
+
+  // An exact hit never reaches the search, so its hint is not counted.
+  (void)cached->plan(ctx);
+  EXPECT_EQ(cache->stats().hits, 1u);
+  EXPECT_EQ(cache->stats().warm_hits, 1u);
 }
 
 TEST(CachingScheduler, NullCacheAndRandomSchedulerBypass) {
@@ -228,9 +271,9 @@ TEST(CachingScheduler, NullCacheAndRandomSchedulerBypass) {
 TEST(WarmStart, EqualsColdBnbOnFiftySeededScenarios) {
   const auto& f = motivation_fixture();
   // Walk a 50-point cap ladder; each scenario donates the previous cap's
-  // *refined* schedule as the warm-start hint — exactly what a near hit
-  // feeds the search. The warm run may only prune harder, never land on a
-  // different schedule.
+  // *refined* schedule as the warm-start hint — what a plan repair after a
+  // cap change feeds the search. The warm run may only prune harder, never
+  // land on a different schedule.
   HcsPlusScheduler hcs_plus;
   Schedule donor = hcs_plus.plan(f.context(10.0));
   std::size_t cold_nodes = 0;
@@ -300,34 +343,6 @@ TEST(WarmStart, BudgetThatCouldBindDisablesTheHint) {
   const Schedule warm_plan = warm.plan(warmed);
   EXPECT_FALSE(warm.warm_started());
   EXPECT_EQ(plan_text(warm_plan, ctx), plan_text(cold_plan, ctx));
-}
-
-TEST(CachingScheduler, SupersetDonorAtSameCapStaysByteIdentical) {
-  // The near-hit path most likely to produce an undercutting donor: a
-  // cached *superset* batch at the same cap, restricted to the requested
-  // subset and remapped. End-to-end through near_lookup, the warm-started
-  // plan must match the cold planner byte for byte.
-  const auto& f = motivation_fixture();
-  auto cache = PlanCache::from_spec("mem").value();
-  auto cached = make_cached_scheduler("bnb", 42, cache);
-  auto cold = make_scheduler("bnb", 42);
-
-  const auto full_ctx = f.context(15.0);
-  (void)cached->plan(full_ctx);  // cache the 4-job superset at this cap
-
-  workload::Batch subset;
-  for (std::size_t i = 0; i + 1 < f.batch.jobs().size(); ++i) {
-    const auto& job = f.batch.jobs()[i];
-    subset.add(job.descriptor, job.seed, job.instance_name);
-  }
-  SchedulerContext sub_ctx = f.context(15.0);
-  sub_ctx.batch = &subset;
-
-  const Schedule warm_plan = cached->plan(sub_ctx);
-  EXPECT_EQ(cache->stats().warm_hits, 1u);
-  EXPECT_EQ(cache->stats().hits, 0u);
-  EXPECT_EQ(plan_text(warm_plan, sub_ctx),
-            plan_text(cold->plan(sub_ctx), sub_ctx));
 }
 
 TEST(DynamicRuntimePlanCache, CacheOnAndOffAreByteIdentical) {

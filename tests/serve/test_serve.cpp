@@ -156,9 +156,7 @@ TEST(SignatureBuilder, ByteIdenticalToMakeSignature) {
       const sched::PlanSignature a = sched::make_signature(ctx, scheduler, 42);
       const sched::PlanSignature b = builder.build(ctx, scheduler, 42);
       EXPECT_EQ(a.canonical, b.canonical);
-      EXPECT_EQ(a.family, b.family);
       EXPECT_EQ(a.hash, b.hash);
-      EXPECT_EQ(a.family_hash, b.family_hash);
       EXPECT_EQ(a.job_names, b.job_names);
     }
   }

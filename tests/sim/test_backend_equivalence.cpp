@@ -23,6 +23,12 @@
 namespace corun::sim {
 namespace {
 
+// Every field spelled out: -Wmissing-field-initializers (on under -Wextra)
+// flags a BackendSpec built from its kind alone.
+const BackendSpec kEventSpec{.kind = BackendKind::kEvent, .replay_path = {}};
+const BackendSpec kAnalyticSpec{.kind = BackendKind::kAnalytic,
+                                .replay_path = {}};
+
 /// Bit-exact trajectory equality: the record-then-replay contract. Doubles
 /// are compared with EXPECT_EQ — the CSV schema round-trips via %.17g, so
 /// the replayed run re-executes the recording's arithmetic exactly.
@@ -153,10 +159,10 @@ TEST(BackendFactory, StandaloneAgreesAcrossBackends) {
   Rng rng(99);
   const JobSpec job = random_corpus_job(rng, 0);
   for (const DeviceKind device : {DeviceKind::kCpu, DeviceKind::kGpu}) {
-    const StandaloneResult event = run_standalone(
-        config, job, device, 12, 7, 42, BackendSpec{BackendKind::kEvent});
-    const StandaloneResult analytic = run_standalone(
-        config, job, device, 12, 7, 42, BackendSpec{BackendKind::kAnalytic});
+    const StandaloneResult event =
+        run_standalone(config, job, device, 12, 7, 42, kEventSpec);
+    const StandaloneResult analytic =
+        run_standalone(config, job, device, 12, 7, 42, kAnalyticSpec);
     const StandaloneResult tick =
         run_standalone(config, job, device, 12, 7, 42, EngineMode::kTick);
     EXPECT_NEAR(event.time, analytic.time, kEquivTol);
@@ -191,13 +197,12 @@ TEST(BackendFactory, ParseRoundTripsAndRejectsJunk) {
 TEST(BackendFactory, AnalyticSpecForcesAnalyticMode) {
   EngineOptions options;
   options.mode = EngineMode::kEvent;
-  const auto machine = make_machine_model(ivy_bridge(), options,
-                                          BackendSpec{BackendKind::kAnalytic});
+  const auto machine =
+      make_machine_model(ivy_bridge(), options, kAnalyticSpec);
   EXPECT_EQ(machine->options().mode, EngineMode::kAnalytic);
   // And the inverse: the event spec never runs the analytic core.
   options.mode = EngineMode::kAnalytic;
-  const auto event = make_machine_model(ivy_bridge(), options,
-                                        BackendSpec{BackendKind::kEvent});
+  const auto event = make_machine_model(ivy_bridge(), options, kEventSpec);
   EXPECT_EQ(event->options().mode, EngineMode::kEvent);
 }
 

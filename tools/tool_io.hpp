@@ -69,10 +69,8 @@ bool finish_trace(const std::string& path);
 /// off). Returns the constructed cache, null when caching stays off, or a
 /// parse error for a malformed spec. Cache state never changes emitted
 /// schedules or reports — only how much search work they cost. (Exact hits
-/// replay identical requests; warm starts re-encode the donor into the
-/// B&B leaf space and disable themselves when the node budget could
-/// truncate the search, so the guarantee holds unconditionally at the
-/// default budget and job limit.)
+/// replay identical requests; a truncated B&B search is the one exception,
+/// and the default budget never truncates within the default job limit.)
 /// `default_spec` applies when neither the flag nor the environment picks a
 /// spec: one-shot tools keep the historical "" (off); the serving daemon
 /// passes "mem" so a bare `corun-served` answers exact repeats from cache.
