@@ -1,5 +1,6 @@
 #include "corun/common/flags.hpp"
 
+#include <cmath>
 #include <cstdlib>
 
 namespace corun {
@@ -62,6 +63,17 @@ std::int64_t Flags::get_int(const std::string& name,
   return it == values_.end()
              ? fallback
              : std::strtoll(it->second.c_str(), nullptr, 10);
+}
+
+Expected<double> parse_power_cap(const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end == nullptr || *end != '\0' || !std::isfinite(v) ||
+      !(v > 0.0)) {
+    return fail("bad cap '" + text + "' (expected a finite number of watts > 0)",
+                ErrorCategory::kParse);
+  }
+  return v;
 }
 
 }  // namespace corun

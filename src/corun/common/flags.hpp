@@ -40,4 +40,9 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+/// Parses a power cap in watts: the whole text must be a finite number
+/// above zero (NaN, infinities, zero, negatives and trailing garbage are
+/// parse errors).
+[[nodiscard]] Expected<double> parse_power_cap(const std::string& text);
+
 }  // namespace corun

@@ -1,31 +1,93 @@
 #include "corun/common/rng.hpp"
 
+#include <cstring>
+
 #include "corun/common/check.hpp"
 
 namespace corun {
 
+namespace {
+
+// std::mt19937_64's parameters (n = 312, m = 156, r = 31).
+constexpr std::size_t kShift = 156;
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+constexpr std::uint64_t kLowerMask = ~kUpperMask;
+constexpr std::uint64_t kMatrix = 0xb5026f5aa96619e9ULL;
+constexpr std::uint64_t kInitMultiplier = 6364136223846793005ULL;
+
+inline std::uint64_t twist(std::uint64_t cur, std::uint64_t next,
+                           std::uint64_t far) noexcept {
+  const std::uint64_t y = (cur & kUpperMask) | (next & kLowerMask);
+  return far ^ (y >> 1) ^ ((std::uint64_t{0} - (y & 1)) & kMatrix);
+}
+
+}  // namespace
+
+Rng::Rng(const Rng& other) noexcept : pos_(other.pos_), seed_(other.seed_) {
+  if (pos_ != kUnseeded) std::memcpy(state_, other.state_, sizeof(state_));
+}
+
+Rng& Rng::operator=(const Rng& other) noexcept {
+  if (this != &other) {
+    pos_ = other.pos_;
+    seed_ = other.seed_;
+    if (pos_ != kUnseeded) std::memcpy(state_, other.state_, sizeof(state_));
+  }
+  return *this;
+}
+
+void Rng::refill() noexcept {
+  std::uint64_t* x = state_;
+  if (pos_ == kUnseeded) {
+    x[0] = seed_;
+    for (std::size_t i = 1; i < kStateWords; ++i) {
+      x[i] = kInitMultiplier * (x[i - 1] ^ (x[i - 1] >> 62)) + i;
+    }
+  }
+  // The recurrence in three straight loops: the first half reads the old
+  // upper half, the second reads the freshly twisted lower half, and the
+  // last word wraps to x[0]. Each loop carries no dependence shorter than
+  // the vector width, so GCC vectorises them at -O3.
+  constexpr std::size_t n = kStateWords;
+  for (std::size_t k = 0; k < n - kShift; ++k) {
+    x[k] = twist(x[k], x[k + 1], x[k + kShift]);
+  }
+  for (std::size_t k = n - kShift; k < n - 1; ++k) {
+    x[k] = twist(x[k], x[k + 1], x[k - (n - kShift)]);
+  }
+  x[n - 1] = twist(x[n - 1], x[0], x[kShift - 1]);
+  pos_ = 0;
+}
+
 double Rng::uniform(double lo, double hi) {
   CORUN_CHECK(lo <= hi);
   std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
+  return dist(*this);
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   CORUN_CHECK(lo <= hi);
   std::uniform_int_distribution<std::int64_t> dist(lo, hi);
-  return dist(engine_);
+  return dist(*this);
 }
 
 double Rng::gaussian(double stddev) {
   CORUN_CHECK(stddev >= 0.0);
-  std::normal_distribution<double> dist(0.0, stddev);
-  return dist(engine_);
+  if constexpr (kPolarGaussian) {
+    double y = 0.0;
+    double r2 = 0.0;
+    polar_pair(y, r2);
+    return polar_value(y, r2, stddev);
+  } else {
+    std::normal_distribution<double> dist(0.0, stddev);
+    return dist(*this);
+  }
 }
 
 bool Rng::chance(double p) {
   CORUN_CHECK(p >= 0.0 && p <= 1.0);
   std::bernoulli_distribution dist(p);
-  return dist(engine_);
+  return dist(*this);
 }
 
 Rng Rng::fork(std::string_view tag) const {

@@ -5,8 +5,19 @@
 // seeded Rng so whole experiments replay bit-for-bit. Rng also provides
 // `fork(tag)` to derive independent child streams without the children
 // sharing state — the standard trick for deterministic parallel experiments.
+//
+// The word stream is exactly std::mt19937_64's, generated in-house so that
+// seeding waits for the first draw (forks and copies that never draw cost
+// no state work) and the 312-word twist runs as straight, vectorisable
+// loops. On libstdc++ `gaussian` is a replica of std::normal_distribution
+// split into a stream-advancing half (`polar_pair`) and a pure half
+// (`polar_value`), so callers that only need a comparison can skip the
+// transcendental without desynchronising the stream.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <string_view>
@@ -14,10 +25,41 @@
 
 namespace corun {
 
-/// Deterministic pseudo-random stream (mt19937_64 based).
+/// Deterministic pseudo-random stream: the std::mt19937_64 word sequence
+/// for `seed`, usable as a UniformRandomBitGenerator.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(seed), seed_(seed) {}
+  using result_type = std::uint64_t;
+
+  /// True when `polar_pair` + `polar_value` reproduce `gaussian` bit for
+  /// bit (the replica follows libstdc++'s normal_distribution; elsewhere
+  /// `gaussian` falls back to the standard library's own distribution).
+#ifdef __GLIBCXX__
+  static constexpr bool kPolarGaussian = true;
+#else
+  static constexpr bool kPolarGaussian = false;
+#endif
+
+  /// Seeding is deferred to the first draw.
+  explicit Rng(std::uint64_t seed) noexcept : pos_(kUnseeded), seed_(seed) {}
+  /// Copies of an unseeded stream copy only the seed.
+  Rng(const Rng& other) noexcept;
+  Rng& operator=(const Rng& other) noexcept;
+
+  [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
+  [[nodiscard]] static constexpr result_type max() noexcept {
+    return ~result_type{0};
+  }
+
+  /// Next 64-bit word (tempered on read).
+  result_type operator()() noexcept {
+    if (pos_ >= kStateWords) refill();
+    result_type z = state_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -30,6 +72,34 @@ class Rng {
 
   /// Bernoulli draw with probability p of true.
   bool chance(double p);
+
+  /// `std::generate_canonical<double, 53>` of one 64-bit word: the
+  /// correctly rounded word (two exact halves, one rounding) times 2^-64,
+  /// clamped below 1.0.
+  [[nodiscard]] static double canonical(result_type word) noexcept {
+    const double hi = static_cast<double>(static_cast<std::uint32_t>(word >> 32));
+    const double lo = static_cast<double>(static_cast<std::uint32_t>(word));
+    return std::min((hi * 0x1p32 + lo) * 0x1p-64, 0x1.fffffffffffffp-1);
+  }
+
+  /// The stream-advancing half of the Marsaglia polar method: draws until
+  /// the point (x, y) lies inside the unit disc, exactly as libstdc++'s
+  /// normal_distribution does, and returns y and r2 = x*x + y*y.
+  void polar_pair(double& y, double& r2) noexcept {
+    double x;
+    do {
+      x = 2.0 * canonical((*this)()) - 1.0;
+      y = 2.0 * canonical((*this)()) - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+  }
+
+  /// The pure half: the Gaussian `polar_pair`'s (y, r2) stands for.
+  [[nodiscard]] static double polar_value(double y, double r2,
+                                          double stddev) noexcept {
+    const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
+    return (y * mult) * stddev + 0.0;
+  }
 
   /// Fisher-Yates shuffle.
   template <typename T>
@@ -47,9 +117,18 @@ class Rng {
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
  private:
-  std::mt19937_64 engine_;
+  static constexpr std::size_t kStateWords = 312;
+  static constexpr std::size_t kUnseeded = kStateWords + 1;
+
+  /// Seeds the state on first use, then twists in the next 312 words.
+  void refill() noexcept;
+
+  std::uint64_t state_[kStateWords];  ///< untouched until the first draw
+  std::size_t pos_;                   ///< next word; kUnseeded before seeding
   std::uint64_t seed_;
 };
+
+static_assert(std::uniform_random_bit_generator<Rng>);
 
 /// Stable 64-bit FNV-1a hash used for seed derivation.
 std::uint64_t hash64(std::string_view s) noexcept;

@@ -401,8 +401,8 @@ Expected<FleetReport> Fleet::execute(
     std::vector<Watts> caps(n, 0.0);
     if (!live.empty()) {
       if (cur_cap) {
-        if (*cur_cap <
-            options_.limits.floor * static_cast<double>(live.size())) {
+        if (!(*cur_cap >=
+              options_.limits.floor * static_cast<double>(live.size()))) {
           return fail("global cap " + fmt_double(*cur_cap) + " at t=" +
                           fmt_double(t) + " cannot fund " +
                           std::to_string(live.size()) + " machine floors of " +

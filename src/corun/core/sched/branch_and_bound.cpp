@@ -239,7 +239,6 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
         hint = evaluator.makespan(leaf_schedule(encoded));
         warm_started_ = true;
         CORUN_TRACE_INSTANT("sched", "bnb.warm_start");
-        CORUN_TRACE_COUNTER("bnb.repairs", 1);
       }
     }
   }

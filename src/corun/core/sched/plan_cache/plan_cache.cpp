@@ -116,14 +116,12 @@ void PlanCache::store(const PlanSignature& sig, const Schedule& schedule,
                       const std::vector<std::string>& batch_names) {
   std::ostringstream oss;
   schedule_to_csv(schedule, batch_names, oss);
-  Entry entry{.canonical = sig.canonical,
-              .job_names = sig.job_names,
-              .schedule_csv = oss.str()};
+  Entry entry{.canonical = sig.canonical, .schedule_csv = oss.str()};
   Shard& shard = shard_for(sig);
   std::lock_guard<std::mutex> lock(shard.mutex);
   shard.stats.stores.fetch_add(1, kRelaxed);
   CORUN_TRACE_COUNTER("plan_cache.stores", 1);
-  if (!config_.dir.empty()) save_to_disk(shard, entry, sig.hash);
+  if (!config_.dir.empty()) save_to_disk(shard, entry, sig);
   insert_locked(shard, std::move(entry));
 }
 
@@ -224,7 +222,6 @@ std::optional<PlanCache::Entry> PlanCache::load_from_disk(
   if (r[0][1] != sig.canonical) return std::nullopt;
   Entry entry;
   entry.canonical = r[0][1];
-  entry.job_names.assign(r[1].begin() + 1, r[1].end());
   std::ostringstream schedule;
   CsvWriter writer(schedule);
   for (std::size_t i = 2; i < r.size(); ++i) {
@@ -236,7 +233,7 @@ std::optional<PlanCache::Entry> PlanCache::load_from_disk(
 }
 
 void PlanCache::save_to_disk(Shard& shard, const Entry& entry,
-                             std::uint64_t hash) {
+                             const PlanSignature& sig) {
   // Write-then-rename: processes sharing one dir: tier (CORUN_PLAN_CACHE)
   // may store the same signature concurrently, and interleaved writes to
   // the final path would leave a torn file that reads as a miss yet
@@ -247,7 +244,7 @@ void PlanCache::save_to_disk(Shard& shard, const Entry& entry,
   // in one temp file. rename() within one directory then atomically
   // publishes a complete file.
   static std::atomic<std::uint64_t> tmp_serial{0};
-  const std::string path = entry_path(hash);
+  const std::string path = entry_path(sig.hash);
   const std::string tmp =
       path + ".tmp." + std::to_string(::getpid()) + "." +
       std::to_string(tmp_serial.fetch_add(1, kRelaxed));
@@ -257,7 +254,7 @@ void PlanCache::save_to_disk(Shard& shard, const Entry& entry,
       shard.stats.io_failures.fetch_add(1, kRelaxed);
       return;
     }
-    out << plan_cache_entry_to_csv(entry.canonical, entry.job_names,
+    out << plan_cache_entry_to_csv(entry.canonical, sig.job_names,
                                    entry.schedule_csv);
     out.close();
     if (!out) {

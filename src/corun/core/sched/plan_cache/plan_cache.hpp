@@ -115,8 +115,7 @@ class PlanCache {
  private:
   struct Entry {
     std::string canonical;
-    std::vector<std::string> job_names;  ///< sorted
-    std::string schedule_csv;            ///< by-name serialization
+    std::string schedule_csv;  ///< by-name serialization
   };
 
   /// Live counters for one shard. Relaxed ordering everywhere: each counter
@@ -148,7 +147,8 @@ class PlanCache {
   void insert_locked(Shard& shard, Entry entry);
   [[nodiscard]] std::optional<Entry> load_from_disk(Shard& shard,
                                                     const PlanSignature& sig);
-  void save_to_disk(Shard& shard, const Entry& entry, std::uint64_t hash);
+  /// Writes the entry's file; its `jobs` row comes from `sig`.
+  void save_to_disk(Shard& shard, const Entry& entry, const PlanSignature& sig);
   [[nodiscard]] std::string entry_path(std::uint64_t hash) const;
 
   PlanCacheConfig config_;

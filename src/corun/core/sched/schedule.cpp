@@ -90,6 +90,22 @@ std::vector<std::string> SchedulerContext::job_names() const {
   return names;
 }
 
+std::optional<std::string> cap_infeasibility(const SchedulerContext& ctx) {
+  if (!ctx.cap) return std::nullopt;
+  const model::CoRunPredictor& m = ctx.model();
+  for (std::size_t i = 0; i < ctx.jobs().size(); ++i) {
+    const std::string name = ctx.job_name(i);
+    if (!m.best_solo_level(name, sim::DeviceKind::kCpu, ctx.cap) &&
+        !m.best_solo_level(name, sim::DeviceKind::kGpu, ctx.cap)) {
+      std::ostringstream oss;
+      oss << "cap " << *ctx.cap << " W is below the predicted power of job '"
+          << name << "' at every frequency level on both devices";
+      return oss.str();
+    }
+  }
+  return std::nullopt;
+}
+
 void schedule_to_csv(const Schedule& schedule,
                      const std::vector<std::string>& job_names,
                      std::ostream& out) {

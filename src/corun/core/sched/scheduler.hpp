@@ -40,6 +40,13 @@ struct SchedulerContext {
   [[nodiscard]] std::vector<std::string> job_names() const;
 };
 
+/// The planners' precondition on the cap: every job has a level on some
+/// device whose predicted solo power fits under it. Returns a plain message
+/// naming the first job that has none (nullopt when the cap is feasible or
+/// absent), so tools and the daemon can refuse the cap up front.
+[[nodiscard]] std::optional<std::string> cap_infeasibility(
+    const SchedulerContext& ctx);
+
 class Scheduler {
  public:
   virtual ~Scheduler() = default;

@@ -73,6 +73,9 @@ Expected<PlanResult> PlanService::plan(const PlanRequest& request) const {
   ctx.cap = request.cap;
   ctx.policy = request.policy == "cpu" ? sim::GovernorPolicy::kCpuBiased
                                        : sim::GovernorPolicy::kGpuBiased;
+  if (auto why = sched::cap_infeasibility(ctx)) {
+    return fail(std::move(*why), ErrorCategory::kInvalidArgument);
+  }
 
   auto scheduler =
       sched::make_cached_scheduler(request.scheduler, request.seed, cache_);

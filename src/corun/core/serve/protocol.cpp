@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "corun/common/csv.hpp"
+#include "corun/common/flags.hpp"
 #include "corun/core/sched/plan_cache/signature.hpp"
 
 namespace corun::serve {
@@ -32,12 +33,9 @@ Expected<std::uint64_t> parse_u64(const std::string& text) {
 
 Expected<std::optional<Watts>> parse_cap(const std::string& text) {
   if (text.empty()) return std::optional<Watts>{};
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    return fail("bad cap '" + text + "'", ErrorCategory::kParse);
-  }
-  return std::optional<Watts>{v};
+  auto cap = parse_power_cap(text);
+  if (!cap.has_value()) return cap.error();
+  return std::optional<Watts>{cap.value()};
 }
 
 std::string join_jobs(const std::vector<std::string>& jobs) {

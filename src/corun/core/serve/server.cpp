@@ -116,9 +116,12 @@ PlanResponse ServeSession::plan_one(const TimedRequest& timed) const {
     }
     return make_response(seq, ResponseStatus::kOk, "",
                          std::move(result).value().text);
-  } catch (const std::exception& e) {
+  } catch (const ContractViolation&) {
     // A planner contract violation on one request must degrade to an
-    // error response, never take the daemon down.
+    // error response, never take the daemon down. Its text names source
+    // files, so the client only learns that the planner failed.
+    return make_response(seq, ResponseStatus::kError, "internal planner error");
+  } catch (const std::exception& e) {
     return make_response(seq, ResponseStatus::kError, e.what());
   }
 }

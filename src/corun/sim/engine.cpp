@@ -91,7 +91,8 @@ Engine::Engine(MachineConfig config, EngineOptions options)
       options_(options),
       memory_(config_.memory),
       power_model_(config_.power, config_.cpu_ladder, config_.gpu_ladder),
-      meter_(Rng(options.seed).fork("power-meter"), options.meter_noise_stddev) {
+      meter_(Rng(options.seed).fork("power-meter"), options.meter_noise_stddev),
+      governor_(options.policy, options.power_cap) {
   CORUN_CHECK(options_.dt > 0.0);
   CORUN_CHECK(options_.governor_interval >= options_.dt);
   CORUN_CHECK(options_.sample_interval >= options_.dt);
@@ -135,6 +136,10 @@ Engine::~Engine() {
                      static_cast<double>(counters_.cancellations));
   trace::counter_add("engine.cap_updates",
                      static_cast<double>(counters_.cap_updates));
+  trace::counter_add("engine.meter_reads",
+                     static_cast<double>(meter_.reads()));
+  trace::counter_add("engine.meter_exact_reads",
+                     static_cast<double>(meter_.exact_reads()));
   if (options_.mode == EngineMode::kAnalytic) {
     // Backend observability (see docs/architecture.md § "Machine backends"):
     // how many ticks the closed-form fast path absorbed on this machine.
@@ -201,6 +206,7 @@ void Engine::set_power_cap(std::optional<Watts> cap) {
   flush_pending_telemetry();
   cache_.valid = false;
   options_.power_cap = cap;
+  governor_ = PowerGovernor(options_.policy, cap);
   ++counters_.cap_updates;
 }
 
@@ -227,6 +233,12 @@ void Engine::set_meter_dropout(bool active) {
 }
 
 bool Engine::meter_dropout() const noexcept { return meter_.dropout(); }
+
+const EngineCounters& Engine::counters() const noexcept {
+  counters_.meter_reads = meter_.reads();
+  counters_.meter_exact_reads = meter_.exact_reads();
+  return counters_;
+}
 
 bool Engine::device_idle(DeviceKind d) const noexcept {
   return resident_count(d) == 0;
@@ -356,6 +368,17 @@ void Engine::advance_jobs(DeviceKind d, double sigma, Seconds dt,
   });
 }
 
+namespace {
+
+bool levels_moved(const DvfsState& before, const DvfsState& after) noexcept {
+  return before.cpu_level != after.cpu_level ||
+         before.gpu_level != after.gpu_level ||
+         before.cpu_ceiling != after.cpu_ceiling ||
+         before.gpu_ceiling != after.gpu_ceiling;
+}
+
+}  // namespace
+
 bool Engine::governor_phase() {
   const Seconds dt = options_.dt;
   const DvfsState before = dvfs_;
@@ -364,6 +387,16 @@ bool Engine::governor_phase() {
   // Down-steps happen every tick a violation is measured (RAPL-style fast
   // clamping); up-steps only at the governor cadence (conservative ramp).
   if (options_.policy != GovernorPolicy::kNone && options_.power_cap) {
+    const bool cadence = now_ + 1e-12 >= next_governor_;
+    if (!cadence && !(options_.cap_window > 0.0)) {
+      // Between cadence points only a violation moves a level, so the
+      // reading's value matters only when it is over the cap.
+      Watts measured = 0.0;
+      if (meter_.exceeds(last_true_power_, *options_.power_cap, measured)) {
+        dvfs_ = governor_.step(measured, dvfs_);
+      }
+      return levels_moved(before, dvfs_);
+    }
     Watts measured = meter_.read(last_true_power_);
     if (options_.cap_window > 0.0) {
       // PL1 semantics: the control signal is the windowed average, so
@@ -378,22 +411,13 @@ bool Engine::governor_phase() {
       measured = power_ema_;
     }
     const bool violating = measured > *options_.power_cap;
-    if (violating || now_ + 1e-12 >= next_governor_) {
-      const PowerGovernor governor(options_.policy, options_.power_cap);
-      dvfs_ = governor.step(measured, dvfs_);
-    }
-    if (now_ + 1e-12 >= next_governor_) {
-      next_governor_ = now_ + options_.governor_interval;
-    }
+    if (violating || cadence) dvfs_ = governor_.step(measured, dvfs_);
+    if (cadence) next_governor_ = now_ + options_.governor_interval;
   } else if (now_ + 1e-12 >= next_governor_) {
-    const PowerGovernor governor(options_.policy, options_.power_cap);
-    dvfs_ = governor.step(meter_.read(last_true_power_), dvfs_);
+    dvfs_ = governor_.step(meter_.read(last_true_power_), dvfs_);
     next_governor_ = now_ + options_.governor_interval;
   }
-  return before.cpu_level != dvfs_.cpu_level ||
-         before.gpu_level != dvfs_.gpu_level ||
-         before.cpu_ceiling != dvfs_.cpu_ceiling ||
-         before.gpu_ceiling != dvfs_.gpu_ceiling;
+  return levels_moved(before, dvfs_);
 }
 
 bool Engine::thermal_phase() {
@@ -731,16 +755,19 @@ void Engine::fast_replay(const std::optional<Seconds>& end,
     // tick in the same order. The loop inlines governor_phase's
     // violation test (the cadence branch cannot fire inside the window —
     // `stop` is bounded by next_governor_) and only falls back to the
-    // full event tick when the governor actually moves a level.
+    // full event tick when the governor actually moves a level. Without a
+    // cap window only `reading > cap` is observable, which
+    // PowerMeter::exceeds answers without computing most readings.
     const Watts cap = *options_.power_cap;
     const bool windowed = options_.cap_window > 0.0;
     // Loop-invariant in tick mode too: hoisting changes no operand.
     const double alpha =
         windowed ? std::min(1.0, dt / options_.cap_window) : 0.0;
-    const PowerGovernor governor(options_.policy, options_.power_cap);
     while (budget > 0 && now_ + 1e-12 < stop) {
-      Watts measured = meter_.read(last_true_power_);
+      Watts measured = 0.0;
+      bool over = false;
       if (windowed) {
+        measured = meter_.read(last_true_power_);
         if (!ema_primed_) {
           power_ema_ = measured;
           ema_primed_ = true;
@@ -748,14 +775,14 @@ void Engine::fast_replay(const std::optional<Seconds>& end,
           power_ema_ += alpha * (measured - power_ema_);
         }
         measured = power_ema_;
+        over = measured > cap;
+      } else {
+        over = meter_.exceeds(last_true_power_, cap, measured);
       }
-      if (measured > cap) {
+      if (over) {
         const DvfsState before = dvfs_;
-        dvfs_ = governor.step(measured, dvfs_);
-        if (before.cpu_level != dvfs_.cpu_level ||
-            before.gpu_level != dvfs_.gpu_level ||
-            before.cpu_ceiling != dvfs_.cpu_ceiling ||
-            before.gpu_ceiling != dvfs_.gpu_ceiling) {
+        dvfs_ = governor_.step(measured, dvfs_);
+        if (levels_moved(before, dvfs_)) {
           // Level move: the horizon ends here. Bank the replayed ticks,
           // then finish this tick on the event path (flush + rebuild with
           // the new levels happen inside) and hand back to the driver. The
@@ -870,10 +897,11 @@ void Engine::analytic_replay(const std::optional<Seconds>& end,
     const bool windowed = options_.cap_window > 0.0;
     const double alpha =
         windowed ? std::min(1.0, dt / options_.cap_window) : 0.0;
-    const PowerGovernor governor(options_.policy, options_.power_cap);
     while (budget > 0 && now_ + 1e-12 < stop) {
-      Watts measured = meter_.read(last_true_power_);
+      Watts measured = 0.0;
+      bool over = false;
       if (windowed) {
+        measured = meter_.read(last_true_power_);
         if (!ema_primed_) {
           power_ema_ = measured;
           ema_primed_ = true;
@@ -881,14 +909,14 @@ void Engine::analytic_replay(const std::optional<Seconds>& end,
           power_ema_ += alpha * (measured - power_ema_);
         }
         measured = power_ema_;
+        over = measured > cap;
+      } else {
+        over = meter_.exceeds(last_true_power_, cap, measured);
       }
-      if (measured > cap) {
+      if (over) {
         const DvfsState before = dvfs_;
-        dvfs_ = governor.step(measured, dvfs_);
-        if (before.cpu_level != dvfs_.cpu_level ||
-            before.gpu_level != dvfs_.gpu_level ||
-            before.cpu_ceiling != dvfs_.cpu_ceiling ||
-            before.gpu_ceiling != dvfs_.gpu_ceiling) {
+        dvfs_ = governor_.step(measured, dvfs_);
+        if (levels_moved(before, dvfs_)) {
           // Level move: the horizon ends here. Materialize the bulk job
           // advance, bank the replayed ticks, then finish this tick on the
           // event path (flush + rebuild with the new levels happen inside).

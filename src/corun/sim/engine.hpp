@@ -130,9 +130,7 @@ class Engine : public MachineModel {
   [[nodiscard]] const Telemetry& telemetry() const noexcept override {
     return telemetry_;
   }
-  [[nodiscard]] const EngineCounters& counters() const noexcept override {
-    return counters_;
-  }
+  [[nodiscard]] const EngineCounters& counters() const noexcept override;
   [[nodiscard]] const JobStats& stats(JobId id) const override;
   [[nodiscard]] std::vector<JobStats> all_stats() const override;
   [[nodiscard]] const MachineConfig& config() const noexcept override {
@@ -271,6 +269,7 @@ class Engine : public MachineModel {
   MemorySystem memory_;
   PowerModel power_model_;
   PowerMeter meter_;
+  PowerGovernor governor_;  ///< rebuilt by set_power_cap
 
   Seconds now_ = 0.0;
   DvfsState dvfs_;
@@ -286,7 +285,8 @@ class Engine : public MachineModel {
   Watts power_ema_ = 0.0;  ///< windowed-cap moving average (cap_window > 0)
   bool ema_primed_ = false;
 
-  EngineCounters counters_;
+  /// Mutable so counters() can fold in the meter's read counts.
+  mutable EngineCounters counters_;
   DynamicsCache cache_;
   std::optional<ThermalState> thermal_;
   /// Ticks whose record_tick arguments are all identical (the cached power

@@ -75,6 +75,26 @@ TEST(ServeProtocol, MalformedRequestPayloadsAreRejectedNotGuessed) {
   }
 }
 
+TEST(ServeProtocol, NonFiniteAndNonPositiveCapsAreParseErrors) {
+  for (const char* bad : {
+           "plan,1,nan,bnb,gpu,0", "plan,1,-nan,bnb,gpu,0",
+           "plan,1,inf,bnb,gpu,0", "plan,1,-inf,bnb,gpu,0",
+           "plan,1,1e999,bnb,gpu,0",  // overflows to inf
+           "plan,1,-5,bnb,gpu,0",   "plan,1,0,bnb,gpu,0",
+           "plan,1,-0,bnb,gpu,0",   "plan,1,15W,bnb,gpu,0",
+       }) {
+    const auto parsed = request_from_payload(bad);
+    ASSERT_FALSE(parsed.has_value()) << bad;
+    EXPECT_EQ(parsed.error().category, ErrorCategory::kParse) << bad;
+    EXPECT_NE(parsed.error().message.find("bad cap"), std::string::npos)
+        << parsed.error().message;
+  }
+  // A blank cap still means "uncapped"; a tiny positive one parses (it is
+  // refused later, as infeasible, by the planner service).
+  EXPECT_TRUE(request_from_payload("plan,1,,bnb,gpu,0").has_value());
+  EXPECT_TRUE(request_from_payload("plan,1,1e-300,bnb,gpu,0").has_value());
+}
+
 TEST(ServeProtocol, ResponsePayloadRoundTripsBodyVerbatim) {
   PlanResponse response;
   response.seq = 3;
@@ -252,6 +272,38 @@ TEST_F(PlanServiceTest, BadRequestsFailWithoutPlanning) {
   duplicate_job.jobs = {f.batch.jobs()[0].instance_name,
                         f.batch.jobs()[0].instance_name};
   EXPECT_FALSE(service_.plan(duplicate_job).has_value());
+}
+
+TEST_F(PlanServiceTest, InfeasibleCapIsAPlainErrorForEveryScheduler) {
+  for (const double cap : {1e-300, 1.0}) {
+    for (const char* scheduler : {"bnb", "hcs+", "hcs", "default", "random"}) {
+      PlanRequest request;
+      request.cap = cap;
+      request.scheduler = scheduler;
+      const auto planned = service_.plan(request);
+      ASSERT_FALSE(planned.has_value()) << scheduler << " at " << cap;
+      const std::string& message = planned.error().message;
+      EXPECT_EQ(planned.error().category, ErrorCategory::kInvalidArgument);
+      EXPECT_NE(message.find("below the predicted power"), std::string::npos)
+          << message;
+      EXPECT_EQ(message.find("contract violation"), std::string::npos)
+          << message;
+      EXPECT_EQ(message.find(".cpp"), std::string::npos) << message;
+    }
+  }
+
+  // Through a session the refusal is an `error` response with that text.
+  TimedRequest timed;
+  timed.request.seq = 1;
+  timed.request.cap = 1e-300;
+  timed.request.scheduler = "bnb";
+  timed.arrival = std::chrono::steady_clock::now();
+  ServeSession session(service_, ServeOptions{});
+  const auto responses = session.serve_chunk({timed});
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status, ResponseStatus::kError);
+  EXPECT_EQ(response_to_payload(responses[0]).find("contract violation"),
+            std::string::npos);
 }
 
 TEST_F(PlanServiceTest, ServeChunkOrdersBySeqAndTriagesOverloadHonestly) {

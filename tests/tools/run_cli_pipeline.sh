@@ -72,6 +72,37 @@ if "$TOOLS/corun-schedule" --batch batch.csv --grid grid.csv 2>/dev/null; then
   exit 1
 fi
 
+echo "== bad and infeasible caps are plain errors, not aborts =="
+# NaN, infinities, non-positive and garbage caps are usage errors (exit 2);
+# a positive cap under every job's power is a plain error (exit 1). Neither
+# may leak contract-violation text or source paths.
+for cap in nan inf -5 0 abc 1e-300 1; do
+  for tool in corun-schedule corun-run; do
+    rc=0
+    "$TOOLS/$tool" --batch batch.csv --profiles profiles.csv --grid grid.csv \
+        --cap "$cap" --scheduler hcs+ > /dev/null 2> cap.err || rc=$?
+    if [ "$rc" -ne 1 ] && [ "$rc" -ne 2 ]; then
+      echo "$tool --cap $cap exited $rc" >&2
+      exit 1
+    fi
+    if grep -Eq "contract violation|\.cpp" cap.err; then
+      echo "$tool --cap $cap leaked internals:" >&2
+      cat cap.err >&2
+      exit 1
+    fi
+  done
+done
+for cap in nan -1 0 inf; do
+  rc=0
+  "$TOOLS/corun-fleet" --machines 4 --global-cap "$cap" > /dev/null \
+      2> cap.err || rc=$?
+  if [ "$rc" -ne 2 ] || grep -Eq "contract violation|\.cpp" cap.err; then
+    echo "corun-fleet --global-cap $cap exited $rc:" >&2
+    cat cap.err >&2
+    exit 1
+  fi
+done
+
 echo "== corun-run (plan file, gantt, power trace) =="
 "$TOOLS/corun-run" --batch batch.csv --profiles profiles.csv --grid grid.csv \
     --cap 15 --plan plan.csv --gantt --power-trace trace.csv | tee run.out

@@ -2,10 +2,12 @@
 // but empty (or whitespace-only) CORUN_BACKEND / CORUN_TRACE /
 // CORUN_PLAN_CACHE must mean "unset", not "the empty spec" — a stray
 // `export CORUN_BACKEND=` in a CI script used to turn every tool run into
-// a usage error. One regression test per variable.
+// a usage error. One regression test per variable. Also the shared cap
+// flag parser: `--cap`/`--global-cap` accept only finite watts > 0.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +40,29 @@ class EnvGuard {
  private:
   const char* name_;
 };
+
+Flags cap_flags(const char* value) {
+  const char* argv[] = {"test", "--cap", value};
+  return Flags::parse(3, const_cast<char**>(argv), {"cap"}, {}).value();
+}
+
+TEST(ToolCap, NonFiniteNonPositiveAndGarbageCapsAreErrors) {
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "1e999", "-5", "0",
+                          "-0", "abc", "15W", ""}) {
+    const auto cap = configure_cap(cap_flags(bad), "cap");
+    ASSERT_FALSE(cap.has_value()) << "'" << bad << "'";
+    EXPECT_NE(cap.error().message.find("--cap"), std::string::npos);
+  }
+}
+
+TEST(ToolCap, FinitePositiveCapParsesAndAbsentMeansUncapped) {
+  const auto cap = configure_cap(cap_flags("16.5"), "cap");
+  ASSERT_TRUE(cap.has_value());
+  EXPECT_EQ(cap.value(), std::optional<double>{16.5});
+  const auto absent = configure_cap(bare_flags(), "cap");
+  ASSERT_TRUE(absent.has_value());
+  EXPECT_FALSE(absent.value().has_value());
+}
 
 TEST(ToolEnv, EmptyOrBlankCorunBackendMeansUnset) {
   const sim::BackendSpec original = sim::default_backend_spec();

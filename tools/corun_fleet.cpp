@@ -67,8 +67,12 @@ int main(int argc, char** argv) {
   opts.machines = static_cast<std::size_t>(f.get_int("machines", 64));
   // Default budget: a mid-ladder 11 W per machine — enough to bind without
   // starving anyone, at any fleet size.
-  opts.global_cap =
-      f.get_double("global-cap", 11.0 * static_cast<double>(opts.machines));
+  const auto global_cap = tools::configure_cap(f, "global-cap");
+  if (!global_cap.has_value()) {
+    return tools::usage_error(global_cap.error().message, kUsage);
+  }
+  opts.global_cap = global_cap.value().value_or(
+      11.0 * static_cast<double>(opts.machines));
   const char* env_strategy = std::getenv("CORUN_FLEET_STRATEGY");
   opts.strategy = f.get(
       "strategy",

@@ -239,7 +239,13 @@ int main(int argc, char** argv) {
   sched::SchedulerContext ctx;
   ctx.batch = &batch.value();
   ctx.predictor = &predictor;
-  if (f.has("cap")) ctx.cap = f.get_double("cap", 15.0);
+  const auto cap = tools::configure_cap(f, "cap");
+  if (!cap.has_value()) return tools::usage_error(cap.error().message, kUsage);
+  ctx.cap = cap.value();
+  if (const auto why = sched::cap_infeasibility(ctx)) {
+    std::fprintf(stderr, "error: %s\n", why->c_str());
+    return 1;
+  }
   const sim::GovernorPolicy policy = f.get("policy", "gpu") == "cpu"
                                          ? sim::GovernorPolicy::kCpuBiased
                                          : sim::GovernorPolicy::kGpuBiased;

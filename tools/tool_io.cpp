@@ -84,6 +84,17 @@ Expected<sim::BackendSpec> configure_backend(const Flags& flags) {
   return spec;
 }
 
+Expected<std::optional<double>> configure_cap(const Flags& flags,
+                                              const std::string& name) {
+  if (!flags.has(name)) return std::optional<double>{};
+  auto cap = parse_power_cap(flags.get(name, ""));
+  if (!cap.has_value()) {
+    return fail("--" + name + ": " + cap.error().message,
+                cap.error().category);
+  }
+  return std::optional<double>{cap.value()};
+}
+
 Expected<bool> configure_thermal(const Flags& flags) {
   std::string spec = flags.get("thermal", "");
   if (spec.empty()) spec = trimmed_env("CORUN_THERMAL");

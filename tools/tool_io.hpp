@@ -3,6 +3,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "corun/common/expected.hpp"
@@ -43,6 +44,12 @@ std::size_t configure_jobs(const Flags& flags);
 /// pre-validated here, so a missing or malformed CSV is a usage error
 /// rather than a mid-run contract violation.
 [[nodiscard]] Expected<sim::BackendSpec> configure_backend(const Flags& flags);
+
+/// Reads a power-cap flag (`--cap`, `--global-cap`): nullopt when absent,
+/// else a finite number of watts > 0 (anything else is an error for
+/// usage_error).
+[[nodiscard]] Expected<std::optional<double>> configure_cap(
+    const Flags& flags, const std::string& name);
 
 /// Applies the shared `--thermal on|off` flag (falling back to the
 /// CORUN_THERMAL environment variable; default off) process-wide via
