@@ -85,8 +85,8 @@ Expected<bool> FleetPlan::validate() const {
         }
         break;
       case FleetEventKind::kGlobalCap:
-        if (e.cap && *e.cap <= 0.0) {
-          return fail(where + ": non-positive cap",
+        if (e.cap && !(std::isfinite(*e.cap) && *e.cap > 0.0)) {
+          return fail(where + ": non-finite or non-positive cap",
                       ErrorCategory::kInvalidArgument);
         }
         break;

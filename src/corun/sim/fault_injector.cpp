@@ -1,6 +1,7 @@
 #include "corun/sim/fault_injector.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <ostream>
@@ -83,8 +84,8 @@ Expected<bool> FaultPlan::validate() const {
         }
         break;
       case FaultKind::kCapSet:
-        if (e.cap && *e.cap <= 0.0) {
-          return fail(where + ": non-positive cap",
+        if (e.cap && !(std::isfinite(*e.cap) && *e.cap > 0.0)) {
+          return fail(where + ": non-finite or non-positive cap",
                       ErrorCategory::kInvalidArgument);
         }
         break;

@@ -3,6 +3,7 @@
 // contracts (thread count, plan-cache state) at fleet scale.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <sstream>
 
@@ -83,8 +84,10 @@ TEST(FleetPlan, ValidateRejectsMalformedStreams) {
   plan.events = {{5.0, FleetEventKind::kWave, -1, {}, 0, 1}};
   EXPECT_FALSE(plan.validate().has_value()) << "wave without jobs";
 
-  plan.events = {{5.0, FleetEventKind::kGlobalCap, -1, -3.0, 0, 0}};
-  EXPECT_FALSE(plan.validate().has_value()) << "non-positive cap";
+  for (const double cap : {-3.0, 0.0, std::nan(""), HUGE_VAL}) {
+    plan.events = {{5.0, FleetEventKind::kGlobalCap, -1, cap, 0, 0}};
+    EXPECT_FALSE(plan.validate().has_value()) << "cap " << cap;
+  }
 
   plan.events = {{9.0, FleetEventKind::kDropout, -1, {}, 0, 1},
                  {5.0, FleetEventKind::kGlobalCap, -1, 640.0, 0, 0}};

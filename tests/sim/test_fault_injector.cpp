@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 namespace corun::sim {
@@ -44,6 +45,12 @@ TEST(FaultPlan, ValidateRejectsBrokenEvents) {
   plan.events.back() = event_at(9.0, FaultKind::kMeterDropout);
   plan.events.back().duration = 0.0;
   EXPECT_FALSE(plan.validate().has_value());  // zero-length dropout
+
+  for (const double cap : {0.0, -3.0, std::nan(""), HUGE_VAL}) {
+    plan.events.back() = event_at(9.0, FaultKind::kCapSet);
+    plan.events.back().cap = cap;
+    EXPECT_FALSE(plan.validate().has_value()) << "cap " << cap;
+  }
 }
 
 TEST(FaultPlan, CsvRoundTripIsExact) {
