@@ -335,9 +335,16 @@ Expected<FleetReport> Fleet::execute(
     return fail("fleet machines need at least one initial job",
                 ErrorCategory::kInvalidArgument);
   }
-  if (options_.limits.floor <= 0.0 ||
-      options_.limits.ceiling < options_.limits.floor) {
-    return fail("fleet power limits are inverted",
+  // Negated comparisons so NaN limits fail too.
+  if (!(options_.limits.floor > 0.0) ||
+      !(options_.limits.ceiling >= options_.limits.floor) ||
+      !std::isfinite(options_.limits.ceiling)) {
+    return fail("fleet power limits are inverted or not finite",
+                ErrorCategory::kInvalidArgument);
+  }
+  if (!(options_.limits.quantum > 0.0) ||
+      !std::isfinite(options_.limits.quantum)) {
+    return fail("fleet power quantum must be a finite number of watts > 0",
                 ErrorCategory::kInvalidArgument);
   }
   if (options_.min_input_scale <= 0.0 ||

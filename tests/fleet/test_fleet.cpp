@@ -137,6 +137,21 @@ TEST(Fleet, RejectsUnfundableBudgetsAndUnknownStrategies) {
   EXPECT_FALSE(unknown.has_value());
 }
 
+TEST(Fleet, RejectsNonFiniteOrNonPositiveLimits) {
+  // Limits arrive from --floor/--ceiling/--quantum; a bad one must be an
+  // error return, not a contract violation inside a strategy.
+  for (const double w : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    for (const int field : {0, 1, 2}) {
+      FleetOptions o = small_options(4, "marginal");
+      (field == 0 ? o.limits.floor
+                  : field == 1 ? o.limits.ceiling : o.limits.quantum) = w;
+      EXPECT_FALSE(
+          Fleet(sim::ivy_bridge(), o).execute({}, shared_artifacts()).has_value())
+          << "field " << field << " = " << w;
+    }
+  }
+}
+
 TEST(Fleet, DropoutRedividesWithinOneEventHorizon) {
   FleetOptions o = small_options(4, "uniform");
   FleetPlan plan;
