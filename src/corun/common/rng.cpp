@@ -1,5 +1,6 @@
 #include "corun/common/rng.hpp"
 
+#include <cmath>
 #include <cstring>
 
 #include "corun/common/check.hpp"
@@ -73,15 +74,19 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 
 double Rng::gaussian(double stddev) {
   CORUN_CHECK(stddev >= 0.0);
-  if constexpr (kPolarGaussian) {
-    double y = 0.0;
-    double r2 = 0.0;
-    polar_pair(y, r2);
-    return polar_value(y, r2, stddev);
-  } else {
-    std::normal_distribution<double> dist(0.0, stddev);
-    return dist(*this);
-  }
+  // The same rejection test and arithmetic, in the same order, as
+  // std::normal_distribution<double>; only the uniforms' conversion
+  // (canonical) is spelled differently, and it rounds identically.
+  double x;
+  double y;
+  double r2;
+  do {
+    x = 2.0 * canonical((*this)()) - 1.0;
+    y = 2.0 * canonical((*this)()) - 1.0;
+    r2 = x * x + y * y;
+  } while (r2 > 1.0 || r2 == 0.0);
+  const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
+  return (y * mult) * stddev + 0.0;
 }
 
 bool Rng::chance(double p) {

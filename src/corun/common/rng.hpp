@@ -9,19 +9,22 @@
 // The word stream is exactly std::mt19937_64's, generated in-house so that
 // seeding waits for the first draw (forks and copies that never draw cost
 // no state work) and the 312-word twist runs as straight, vectorisable
-// loops. On libstdc++ `gaussian` is a replica of std::normal_distribution
-// split into a stream-advancing half (`polar_pair`) and a pure half
-// (`polar_value`), so callers that only need a comparison can skip the
-// transcendental without desynchronising the stream.
+// loops. `gaussian` is a bit-exact replica of libstdc++'s
+// std::normal_distribution with a branch-free word-to-double conversion.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <random>
 #include <string_view>
 #include <vector>
+
+// The Gaussian replica (and with it every recorded noisy trace) follows
+// libstdc++'s normal_distribution; other standard libraries draw differently.
+#ifndef __GLIBCXX__
+#error "corun::Rng replicates libstdc++'s normal_distribution; build with libstdc++"
+#endif
 
 namespace corun {
 
@@ -30,15 +33,6 @@ namespace corun {
 class Rng {
  public:
   using result_type = std::uint64_t;
-
-  /// True when `polar_pair` + `polar_value` reproduce `gaussian` bit for
-  /// bit (the replica follows libstdc++'s normal_distribution; elsewhere
-  /// `gaussian` falls back to the standard library's own distribution).
-#ifdef __GLIBCXX__
-  static constexpr bool kPolarGaussian = true;
-#else
-  static constexpr bool kPolarGaussian = false;
-#endif
 
   /// Seeding is deferred to the first draw.
   explicit Rng(std::uint64_t seed) noexcept : pos_(kUnseeded), seed_(seed) {}
@@ -67,7 +61,8 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Zero-mean Gaussian with the given standard deviation.
+  /// Zero-mean Gaussian with the given standard deviation: libstdc++'s
+  /// Marsaglia polar method, bit for bit.
   double gaussian(double stddev);
 
   /// Bernoulli draw with probability p of true.
@@ -80,25 +75,6 @@ class Rng {
     const double hi = static_cast<double>(static_cast<std::uint32_t>(word >> 32));
     const double lo = static_cast<double>(static_cast<std::uint32_t>(word));
     return std::min((hi * 0x1p32 + lo) * 0x1p-64, 0x1.fffffffffffffp-1);
-  }
-
-  /// The stream-advancing half of the Marsaglia polar method: draws until
-  /// the point (x, y) lies inside the unit disc, exactly as libstdc++'s
-  /// normal_distribution does, and returns y and r2 = x*x + y*y.
-  void polar_pair(double& y, double& r2) noexcept {
-    double x;
-    do {
-      x = 2.0 * canonical((*this)()) - 1.0;
-      y = 2.0 * canonical((*this)()) - 1.0;
-      r2 = x * x + y * y;
-    } while (r2 > 1.0 || r2 == 0.0);
-  }
-
-  /// The pure half: the Gaussian `polar_pair`'s (y, r2) stands for.
-  [[nodiscard]] static double polar_value(double y, double r2,
-                                          double stddev) noexcept {
-    const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
-    return (y * mult) * stddev + 0.0;
   }
 
   /// Fisher-Yates shuffle.

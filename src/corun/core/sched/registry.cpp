@@ -42,4 +42,8 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
   return nullptr;
 }
 
+bool planner_reads_cap(const std::string& name) {
+  return name != "default" && name != "random";
+}
+
 }  // namespace corun::sched

@@ -20,4 +20,9 @@ namespace corun::sched {
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
     const std::string& name, std::uint64_t seed = 42);
 
+/// Whether the named planner reads the cap, and so requires what
+/// cap_infeasibility checks. The `default` and `random` baselines never
+/// read it: they plan under any cap and leave it to the governor.
+[[nodiscard]] bool planner_reads_cap(const std::string& name);
+
 }  // namespace corun::sched

@@ -73,15 +73,18 @@ Expected<PlanResult> PlanService::plan(const PlanRequest& request) const {
   ctx.cap = request.cap;
   ctx.policy = request.policy == "cpu" ? sim::GovernorPolicy::kCpuBiased
                                        : sim::GovernorPolicy::kGpuBiased;
-  if (auto why = sched::cap_infeasibility(ctx)) {
-    return fail(std::move(*why), ErrorCategory::kInvalidArgument);
-  }
 
   auto scheduler =
       sched::make_cached_scheduler(request.scheduler, request.seed, cache_);
   if (scheduler == nullptr) {
     return fail("unknown scheduler '" + request.scheduler + "'",
                 ErrorCategory::kNotFound);
+  }
+  // Every response carries the lower bound, which (like the cap-aware
+  // planners) needs each job to fit under the cap at some level, so the
+  // check holds for the baselines too.
+  if (auto why = sched::cap_infeasibility(ctx)) {
+    return fail(std::move(*why), ErrorCategory::kInvalidArgument);
   }
   if (auto* caching =
           dynamic_cast<sched::CachingScheduler*>(scheduler.get())) {

@@ -138,8 +138,6 @@ Engine::~Engine() {
                      static_cast<double>(counters_.cap_updates));
   trace::counter_add("engine.meter_reads",
                      static_cast<double>(meter_.reads()));
-  trace::counter_add("engine.meter_exact_reads",
-                     static_cast<double>(meter_.exact_reads()));
   if (options_.mode == EngineMode::kAnalytic) {
     // Backend observability (see docs/architecture.md § "Machine backends"):
     // how many ticks the closed-form fast path absorbed on this machine.
@@ -233,12 +231,6 @@ void Engine::set_meter_dropout(bool active) {
 }
 
 bool Engine::meter_dropout() const noexcept { return meter_.dropout(); }
-
-const EngineCounters& Engine::counters() const noexcept {
-  counters_.meter_reads = meter_.reads();
-  counters_.meter_exact_reads = meter_.exact_reads();
-  return counters_;
-}
 
 bool Engine::device_idle(DeviceKind d) const noexcept {
   return resident_count(d) == 0;
@@ -388,15 +380,6 @@ bool Engine::governor_phase() {
   // clamping); up-steps only at the governor cadence (conservative ramp).
   if (options_.policy != GovernorPolicy::kNone && options_.power_cap) {
     const bool cadence = now_ + 1e-12 >= next_governor_;
-    if (!cadence && !(options_.cap_window > 0.0)) {
-      // Between cadence points only a violation moves a level, so the
-      // reading's value matters only when it is over the cap.
-      Watts measured = 0.0;
-      if (meter_.exceeds(last_true_power_, *options_.power_cap, measured)) {
-        dvfs_ = governor_.step(measured, dvfs_);
-      }
-      return levels_moved(before, dvfs_);
-    }
     Watts measured = meter_.read(last_true_power_);
     if (options_.cap_window > 0.0) {
       // PL1 semantics: the control signal is the windowed average, so
@@ -755,19 +738,15 @@ void Engine::fast_replay(const std::optional<Seconds>& end,
     // tick in the same order. The loop inlines governor_phase's
     // violation test (the cadence branch cannot fire inside the window —
     // `stop` is bounded by next_governor_) and only falls back to the
-    // full event tick when the governor actually moves a level. Without a
-    // cap window only `reading > cap` is observable, which
-    // PowerMeter::exceeds answers without computing most readings.
+    // full event tick when the governor actually moves a level.
     const Watts cap = *options_.power_cap;
     const bool windowed = options_.cap_window > 0.0;
     // Loop-invariant in tick mode too: hoisting changes no operand.
     const double alpha =
         windowed ? std::min(1.0, dt / options_.cap_window) : 0.0;
     while (budget > 0 && now_ + 1e-12 < stop) {
-      Watts measured = 0.0;
-      bool over = false;
+      Watts measured = meter_.read(last_true_power_);
       if (windowed) {
-        measured = meter_.read(last_true_power_);
         if (!ema_primed_) {
           power_ema_ = measured;
           ema_primed_ = true;
@@ -775,11 +754,8 @@ void Engine::fast_replay(const std::optional<Seconds>& end,
           power_ema_ += alpha * (measured - power_ema_);
         }
         measured = power_ema_;
-        over = measured > cap;
-      } else {
-        over = meter_.exceeds(last_true_power_, cap, measured);
       }
-      if (over) {
+      if (measured > cap) {
         const DvfsState before = dvfs_;
         dvfs_ = governor_.step(measured, dvfs_);
         if (levels_moved(before, dvfs_)) {
@@ -898,10 +874,8 @@ void Engine::analytic_replay(const std::optional<Seconds>& end,
     const double alpha =
         windowed ? std::min(1.0, dt / options_.cap_window) : 0.0;
     while (budget > 0 && now_ + 1e-12 < stop) {
-      Watts measured = 0.0;
-      bool over = false;
+      Watts measured = meter_.read(last_true_power_);
       if (windowed) {
-        measured = meter_.read(last_true_power_);
         if (!ema_primed_) {
           power_ema_ = measured;
           ema_primed_ = true;
@@ -909,11 +883,8 @@ void Engine::analytic_replay(const std::optional<Seconds>& end,
           power_ema_ += alpha * (measured - power_ema_);
         }
         measured = power_ema_;
-        over = measured > cap;
-      } else {
-        over = meter_.exceeds(last_true_power_, cap, measured);
       }
-      if (over) {
+      if (measured > cap) {
         const DvfsState before = dvfs_;
         dvfs_ = governor_.step(measured, dvfs_);
         if (levels_moved(before, dvfs_)) {

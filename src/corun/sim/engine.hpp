@@ -130,7 +130,9 @@ class Engine : public MachineModel {
   [[nodiscard]] const Telemetry& telemetry() const noexcept override {
     return telemetry_;
   }
-  [[nodiscard]] const EngineCounters& counters() const noexcept override;
+  [[nodiscard]] const EngineCounters& counters() const noexcept override {
+    return counters_;
+  }
   [[nodiscard]] const JobStats& stats(JobId id) const override;
   [[nodiscard]] std::vector<JobStats> all_stats() const override;
   [[nodiscard]] const MachineConfig& config() const noexcept override {
@@ -285,8 +287,7 @@ class Engine : public MachineModel {
   Watts power_ema_ = 0.0;  ///< windowed-cap moving average (cap_window > 0)
   bool ema_primed_ = false;
 
-  /// Mutable so counters() can fold in the meter's read counts.
-  mutable EngineCounters counters_;
+  EngineCounters counters_;
   DynamicsCache cache_;
   std::optional<ThermalState> thermal_;
   /// Ticks whose record_tick arguments are all identical (the cached power

@@ -77,8 +77,6 @@ struct EngineCounters {
   std::uint64_t job_events = 0;       ///< job completions emitted
   std::uint64_t cancellations = 0;    ///< jobs evicted via cancel()
   std::uint64_t cap_updates = 0;      ///< mid-run set_power_cap calls
-  std::uint64_t meter_reads = 0;      ///< power-meter readings taken
-  std::uint64_t meter_exact_reads = 0;  ///< readings whose noise was computed
 };
 
 /// Stepping policy of the simulation core. All modes execute the same

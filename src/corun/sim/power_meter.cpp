@@ -6,96 +6,19 @@
 
 namespace corun::sim {
 
-namespace {
-
-// Slack of the log-free bound in exceeds(): the relative term covers the
-// few ulps of rounding in the bound and in the reading itself, the absolute
-// one keeps underflowed squares from deciding anything.
-constexpr double kRelSlack = 1e-9;
-constexpr double kAbsSlack = 1e-100;
-
-}  // namespace
-
 PowerMeter::PowerMeter(Rng rng, Watts noise_stddev)
-    : rng_(rng),
-      noise_stddev_(noise_stddev),
-      noise_var_(noise_stddev * noise_stddev) {
+    : rng_(rng), noise_stddev_(noise_stddev) {
   CORUN_CHECK(noise_stddev >= 0.0);
 }
 
 Watts PowerMeter::read(Watts true_power) {
   ++reads_;
-  if (!(noise_stddev_ > 0.0)) {
-    if (dropout_) return held_;
-    deferred_ = false;
-    held_ = std::max(0.0, true_power);
-    return held_;
-  }
-  if constexpr (!Rng::kPolarGaussian) {
-    const Watts reading =
-        std::max(0.0, true_power + rng_.gaussian(noise_stddev_));
-    ++exact_reads_;
-    if (dropout_) return held_;
-    held_ = reading;
-    return reading;
-  }
-  double y = 0.0;
-  double r2 = 0.0;
-  rng_.polar_pair(y, r2);
-  if (dropout_) return held_;  // the draw advances the stream, unseen
-  return hold(true_power, y, r2);
-}
-
-bool PowerMeter::exceeds(Watts true_power, Watts cap, Watts& reading) {
-  if (!Rng::kPolarGaussian || !(noise_stddev_ > 0.0)) {
-    reading = read(true_power);
-    return reading > cap;
-  }
-  ++reads_;
-  double y = 0.0;
-  double r2 = 0.0;
-  rng_.polar_pair(y, r2);
-  if (dropout_) {
-    reading = held_;
-    return reading > cap;
-  }
-  if (surely_within(true_power, cap, y, r2)) {
-    deferred_ = true;
-    deferred_power_ = true_power;
-    deferred_y_ = y;
-    deferred_r2_ = r2;
-    return false;
-  }
-  reading = hold(true_power, y, r2);
-  return reading > cap;
-}
-
-void PowerMeter::set_dropout(bool active) {
-  // The frozen register must show the last healthy reading, settled or not.
-  if (active && deferred_) (void)hold(deferred_power_, deferred_y_, deferred_r2_);
-  dropout_ = active;
-}
-
-bool PowerMeter::surely_within(Watts p, Watts cap, double y,
-                               double r2) const noexcept {
-  if (!(cap >= 0.0)) return false;
-  // Non-positive noise: rounding is monotone, so the reading is <= max(0, p).
-  if (!(y > 0.0)) return p <= cap;
-  // noise^2 = y^2 s^2 (-2 ln r2) / r2 <= y^2 s^2 (1 - r2^2) / r2^2, because
-  // -ln t <= (1/t - t) / 2 on (0, 1] (tighter than -ln t <= 1/t - 1 by
-  // (1 - t)^2 / 2t). If that bound keeps p + noise below cap with slack,
-  // the rounded reading cannot exceed it either.
-  const double margin = cap - p;
-  const double bound = (y * y) * noise_var_ * (1.0 - r2 * r2) / (r2 * r2);
-  return margin > kAbsSlack &&
-         bound * (1.0 + kRelSlack) + kAbsSlack * kAbsSlack < margin * margin;
-}
-
-Watts PowerMeter::hold(Watts p, double y, double r2) {
-  ++exact_reads_;
-  deferred_ = false;
-  held_ = std::max(0.0, p + Rng::polar_value(y, r2, noise_stddev_));
-  return held_;
+  const Watts noisy =
+      noise_stddev_ > 0.0 ? true_power + rng_.gaussian(noise_stddev_) : true_power;
+  const Watts reading = std::max(0.0, noisy);
+  if (dropout_) return held_;
+  held_ = reading;
+  return reading;
 }
 
 }  // namespace corun::sim

@@ -22,46 +22,21 @@ class PowerMeter {
   /// sees the last pre-fault reading — 0 W if the sensor never produced one.
   [[nodiscard]] Watts read(Watts true_power);
 
-  /// `read(true_power) > cap`, advancing the noise stream exactly as read()
-  /// does. When the answer is true, `reading` holds what read() would have
-  /// returned. The reading itself is only computed (log + sqrt) when a
-  /// log-free bound on the noise cannot settle the comparison; an unsettled
-  /// healthy reading is kept and computed if a dropout later holds it.
-  [[nodiscard]] bool exceeds(Watts true_power, Watts cap, Watts& reading);
-
   /// Starts/ends a transient sensor fault (see read()).
-  void set_dropout(bool active);
+  void set_dropout(bool active) noexcept { dropout_ = active; }
   [[nodiscard]] bool dropout() const noexcept { return dropout_; }
 
   [[nodiscard]] Watts noise_stddev() const noexcept { return noise_stddev_; }
 
-  /// Readings taken (read() and exceeds() calls).
+  /// Readings taken, dropouts included.
   [[nodiscard]] std::uint64_t reads() const noexcept { return reads_; }
-  /// Noisy readings whose value was computed (the log + sqrt ran).
-  [[nodiscard]] std::uint64_t exact_reads() const noexcept {
-    return exact_reads_;
-  }
 
  private:
-  /// Whether max(0, p + noise(y, r2)) <= cap follows without the log.
-  [[nodiscard]] bool surely_within(Watts p, Watts cap, double y,
-                                   double r2) const noexcept;
-  /// Computes and holds the healthy reading of one polar draw.
-  Watts hold(Watts p, double y, double r2);
-
   Rng rng_;
   Watts noise_stddev_;
-  double noise_var_;  ///< noise_stddev_^2, for the log-free bound
   bool dropout_ = false;
   Watts held_ = 0.0;  ///< last healthy reading, served while dropped out
-  /// The last healthy reading was settled without computing it: held_ is
-  /// owed max(0, p + noise(y, r2)) for these values.
-  bool deferred_ = false;
-  Watts deferred_power_ = 0.0;
-  double deferred_y_ = 0.0;
-  double deferred_r2_ = 1.0;
   std::uint64_t reads_ = 0;
-  std::uint64_t exact_reads_ = 0;
 };
 
 }  // namespace corun::sim

@@ -185,21 +185,6 @@ TEST(RngOracle, DistributionsAreBitEqualToStdOverMt19937_64) {
   }
 }
 
-TEST(RngOracle, PolarHalvesComposeToGaussian) {
-  if (!Rng::kPolarGaussian) GTEST_SKIP() << "gaussian is the std fallback";
-  Rng a(77);
-  Rng b(77);
-  for (int i = 0; i < 100'000; ++i) {
-    double y = 0.0;
-    double r2 = 0.0;
-    a.polar_pair(y, r2);
-    ASSERT_GT(r2, 0.0);
-    ASSERT_LE(r2, 1.0);
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(Rng::polar_value(y, r2, 0.3)),
-              std::bit_cast<std::uint64_t>(b.gaussian(0.3)));
-  }
-}
-
 TEST(RngOracle, CopiesAndForksOfUnseededAndMidBlockStreams) {
   // Unseeded: nothing drawn yet, so a copy carries only the seed.
   const Rng fresh(9);

@@ -275,6 +275,8 @@ TEST_F(PlanServiceTest, BadRequestsFailWithoutPlanning) {
 }
 
 TEST_F(PlanServiceTest, InfeasibleCapIsAPlainErrorForEveryScheduler) {
+  // The baselines never read the cap, but every response carries the lower
+  // bound, which does: they are refused up front like the planners.
   for (const double cap : {1e-300, 1.0}) {
     for (const char* scheduler : {"bnb", "hcs+", "hcs", "default", "random"}) {
       PlanRequest request;

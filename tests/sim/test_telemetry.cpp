@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "corun/common/check.hpp"
 #include "corun/common/rng.hpp"
 #include "corun/sim/power_meter.hpp"
@@ -74,6 +78,31 @@ TEST(PowerMeter, NeverNegative) {
   PowerMeter meter(Rng(3), 5.0);
   for (int i = 0; i < 200; ++i) {
     EXPECT_GE(meter.read(0.1), 0.0);
+  }
+}
+
+// Bit for bit: one Gaussian draw per read from the meter's own stream, and
+// a dropout freezes the register while the stream keeps advancing.
+TEST(PowerMeter, ReadIsOneDrawAndDropoutsHoldTheLastReading) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const Watts noise : {1e-6, 0.05, 0.3, 1.5}) {
+    PowerMeter meter(Rng(7).fork("meter"), noise);
+    Rng ref = Rng(7).fork("meter");
+    Rng pick(8);
+    Watts held = 0.0;
+    for (int i = 0; i < 20'000; ++i) {
+      if (i % 997 == 501 || i % 997 == 540) meter.set_dropout(i % 997 == 501);
+      const Watts tp = pick.uniform(-1.0, 16.0);
+      const Watts want = std::max(0.0, tp + ref.gaussian(noise));
+      const Watts got = meter.read(tp);
+      if (meter.dropout()) {
+        ASSERT_EQ(bits(got), bits(held)) << "noise " << noise << " read " << i;
+      } else {
+        ASSERT_EQ(bits(got), bits(want)) << "noise " << noise << " read " << i;
+        held = got;
+      }
+    }
+    EXPECT_EQ(meter.reads(), 20'000u);
   }
 }
 

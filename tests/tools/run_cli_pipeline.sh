@@ -92,6 +92,14 @@ for cap in nan inf -5 0 abc 1e-300 1; do
     fi
   done
 done
+# The baselines and a plan file read no cap: corun-run still executes them
+# under an infeasible one and leaves the clamping to the governor.
+for how in "--scheduler default" "--scheduler random" "--plan plan.csv"; do
+  # shellcheck disable=SC2086
+  "$TOOLS/corun-run" --batch batch.csv --profiles profiles.csv \
+      --grid grid.csv --cap 1 $how > cap.out
+  grep -q "^result:" cap.out
+done
 for cap in nan -1 0 inf; do
   rc=0
   "$TOOLS/corun-fleet" --machines 4 --global-cap "$cap" > /dev/null \

@@ -242,10 +242,6 @@ int main(int argc, char** argv) {
   const auto cap = tools::configure_cap(f, "cap");
   if (!cap.has_value()) return tools::usage_error(cap.error().message, kUsage);
   ctx.cap = cap.value();
-  if (const auto why = sched::cap_infeasibility(ctx)) {
-    std::fprintf(stderr, "error: %s\n", why->c_str());
-    return 1;
-  }
   const sim::GovernorPolicy policy = f.get("policy", "gpu") == "cpu"
                                          ? sim::GovernorPolicy::kCpuBiased
                                          : sim::GovernorPolicy::kGpuBiased;
@@ -253,15 +249,25 @@ int main(int argc, char** argv) {
 
   const std::string which = f.get("scheduler", "hcs+");
   const auto seed = static_cast<std::uint64_t>(f.get_int("seed", 42));
+  if (!f.has("plan")) {
+    if (sched::make_scheduler(which, seed) == nullptr) {
+      return tools::usage_error("unknown scheduler '" + which + "'", kUsage);
+    }
+    // A plan file and the baselines run under any cap (the governor
+    // clamps); the cap-aware planners need every job to fit at some level.
+    if (sched::planner_reads_cap(which)) {
+      if (const auto why = sched::cap_infeasibility(ctx)) {
+        std::fprintf(stderr, "error: %s\n", why->c_str());
+        return 1;
+      }
+    }
+  }
 
   if (f.has("events")) {
     if (f.has("plan")) {
       return tools::usage_error("--events and --plan are mutually exclusive "
                                 "(dynamic mode replans online)",
                                 kUsage);
-    }
-    if (sched::make_scheduler(which, seed) == nullptr) {
-      return tools::usage_error("unknown scheduler '" + which + "'", kUsage);
     }
     return run_dynamic_mode(f, batch.value(), db.value(), grid.value(),
                             config, policy, which, seed, trace_path,
